@@ -19,8 +19,6 @@ use ipe_schema::{ClassId, Schema};
 pub struct HopBaseline<'s> {
     schema: &'s Schema,
     config: CompletionConfig,
-    /// Also return paths up to this many edges longer than the minimum.
-    slack: usize,
 }
 
 impl<'s> HopBaseline<'s> {
@@ -29,15 +27,7 @@ impl<'s> HopBaseline<'s> {
         HopBaseline {
             schema,
             config: CompletionConfig::default(),
-            slack: 0,
         }
-    }
-
-    /// Allows completions up to `slack` edges longer than the minimum
-    /// (the baseline's analogue of the `E` parameter).
-    pub fn with_slack(mut self, slack: usize) -> Self {
-        self.slack = slack;
-        self
     }
 
     /// Caps enumeration (depth and result count) via an engine config.
@@ -46,16 +36,15 @@ impl<'s> HopBaseline<'s> {
         self
     }
 
-    /// All consistent acyclic completions of `root ~ name` whose length is
-    /// within `slack` of the minimum, shortest first.
+    /// All consistent acyclic completions of `root ~ name` of the minimum
+    /// length.
     pub fn complete(&self, root: ClassId, name: &str) -> Result<Vec<Completion>, CompleteError> {
         ipe_obs::counter!("core.baseline.queries", 1);
         let mut all = all_consistent(self.schema, root, name, &self.config)?;
         let Some(min) = all.iter().map(|c| c.len()).min() else {
             return Ok(Vec::new());
         };
-        all.retain(|c| c.len() <= min + self.slack);
-        all.sort_by_key(|c| c.len());
+        all.retain(|c| c.len() == min);
         Ok(all)
     }
 }
@@ -112,18 +101,6 @@ mod tests {
         assert!(smart_texts.contains(&instructor_chain));
         assert_eq!(smart_texts.len(), 2);
         assert!(hop_texts.len() > 2, "baseline admits junk: {hop_texts:?}");
-    }
-
-    #[test]
-    fn slack_admits_longer_paths() {
-        let schema = fixtures::university();
-        let ta = schema.class_named("ta").unwrap();
-        let strict = HopBaseline::new(&schema).complete(ta, "name").unwrap();
-        let slack = HopBaseline::new(&schema)
-            .with_slack(2)
-            .complete(ta, "name")
-            .unwrap();
-        assert!(slack.len() > strict.len());
     }
 
     #[test]

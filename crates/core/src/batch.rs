@@ -48,16 +48,6 @@ pub struct BatchOptions {
     pub span: ipe_obs::SpanHandle,
 }
 
-impl BatchOptions {
-    /// Options with an explicit thread count, everything else default.
-    pub fn with_threads(threads: usize) -> Self {
-        BatchOptions {
-            threads,
-            ..Default::default()
-        }
-    }
-}
-
 /// The outcome of one batch item, in submission order.
 #[derive(Clone, Debug)]
 pub struct BatchItem {
@@ -216,7 +206,11 @@ mod tests {
             .map(|ast| engine.complete_with_stats(ast))
             .collect();
         for threads in [1, 2, 4] {
-            let out = complete_batch(&engine, &items, &BatchOptions::with_threads(threads));
+            let opts = BatchOptions {
+                threads,
+                ..Default::default()
+            };
+            let out = complete_batch(&engine, &items, &opts);
             assert_eq!(out.len(), items.len());
             for (i, item) in out.iter().enumerate() {
                 assert_eq!(item.index, i, "results come back in submission order");

@@ -42,7 +42,6 @@ pub struct ClassEvidence {
 #[derive(Clone, Debug)]
 pub struct FeedbackStore {
     evidence: Vec<ClassEvidence>,
-    verdicts: u64,
 }
 
 /// Thresholds for [`FeedbackStore::suggest_exclusions`].
@@ -69,13 +68,7 @@ impl FeedbackStore {
     pub fn new(schema: &Schema) -> Self {
         FeedbackStore {
             evidence: vec![ClassEvidence::default(); schema.class_count()],
-            verdicts: 0,
         }
-    }
-
-    /// Number of verdicts recorded.
-    pub fn verdict_count(&self) -> u64 {
-        self.verdicts
     }
 
     /// The evidence gathered for one class.
@@ -85,7 +78,6 @@ impl FeedbackStore {
 
     /// Records the user's verdict on a proposed completion.
     pub fn record(&mut self, schema: &Schema, completion: &Completion, verdict: Verdict) {
-        self.verdicts += 1;
         let classes = completion.classes(schema);
         if classes.len() <= 2 {
             return; // no interior classes
@@ -217,7 +209,6 @@ mod tests {
             .complete(&parse_path_expression("department~name").unwrap())
             .unwrap();
         store.record(&schema, &out[0], Verdict::Rejected);
-        assert_eq!(store.verdict_count(), 1);
         for c in schema.classes() {
             assert_eq!(store.evidence(c), ClassEvidence::default());
         }

@@ -77,8 +77,8 @@ pub struct Edge<E> {
 /// let b = g.add_node("b");
 /// let e = g.add_edge(a, b, 7);
 /// assert_eq!(g.edge(e).weight, 7);
-/// assert_eq!(g.out_degree(a), 1);
-/// assert_eq!(g.in_degree(b), 1);
+/// assert_eq!(g.out_edge_ids(a), &[e]);
+/// assert_eq!(g.in_edge_ids(b), &[e]);
 /// ```
 #[derive(Clone, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -105,16 +105,6 @@ impl<N, E> DiGraph<N, E> {
             edges: Vec::new(),
             out: Vec::new(),
             inn: Vec::new(),
-        }
-    }
-
-    /// Creates an empty graph with room for `nodes` nodes and `edges` edges.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        DiGraph {
-            nodes: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
-            out: Vec::with_capacity(nodes),
-            inn: Vec::with_capacity(nodes),
         }
     }
 
@@ -173,12 +163,6 @@ impl<N, E> DiGraph<N, E> {
     #[inline]
     pub fn node(&self, id: NodeId) -> &N {
         &self.nodes[id.index()]
-    }
-
-    /// Mutable access to a node weight.
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
     }
 
     /// Immutable access to an edge.
@@ -241,103 +225,9 @@ impl<N, E> DiGraph<N, E> {
             .map(move |&id| (id, self.edge(id)))
     }
 
-    /// Iterates over `(id, edge)` for the in-edges of `node`.
-    pub fn in_edges(&self, node: NodeId) -> impl ExactSizeIterator<Item = (EdgeId, &Edge<E>)> + '_ {
-        self.inn[node.index()]
-            .iter()
-            .map(move |&id| (id, self.edge(id)))
-    }
-
     /// Successor node ids of `node` (with multiplicity, in insertion order).
     pub fn successors(&self, node: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
         self.out_edges(node).map(|(_, e)| e.target)
-    }
-
-    /// Predecessor node ids of `node` (with multiplicity, in insertion order).
-    pub fn predecessors(&self, node: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.in_edges(node).map(|(_, e)| e.source)
-    }
-
-    /// Number of out-edges of `node`.
-    #[inline]
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out[node.index()].len()
-    }
-
-    /// Number of in-edges of `node`.
-    #[inline]
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.inn[node.index()].len()
-    }
-
-    /// Whether at least one edge `source -> target` exists.
-    pub fn contains_edge(&self, source: NodeId, target: NodeId) -> bool {
-        self.out[source.index()]
-            .iter()
-            .any(|&id| self.edge(id).target == target)
-    }
-
-    /// First edge `source -> target` matching `pred` on the weight, if any.
-    pub fn find_edge(
-        &self,
-        source: NodeId,
-        target: NodeId,
-        mut pred: impl FnMut(&E) -> bool,
-    ) -> Option<EdgeId> {
-        self.out[source.index()]
-            .iter()
-            .copied()
-            .find(|&id| self.edge(id).target == target && pred(&self.edge(id).weight))
-    }
-
-    /// Maps node and edge weights into a new graph with identical topology.
-    ///
-    /// Node and edge ids are preserved, so side tables indexed by id remain
-    /// valid across the mapping.
-    pub fn map<N2, E2>(
-        &self,
-        mut node_map: impl FnMut(NodeId, &N) -> N2,
-        mut edge_map: impl FnMut(EdgeId, &Edge<E>) -> E2,
-    ) -> DiGraph<N2, E2> {
-        DiGraph {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| node_map(NodeId(i as u32), n))
-                .collect(),
-            edges: self
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(i, e)| Edge {
-                    source: e.source,
-                    target: e.target,
-                    weight: edge_map(EdgeId(i as u32), e),
-                })
-                .collect(),
-            out: self.out.clone(),
-            inn: self.inn.clone(),
-        }
-    }
-
-    /// Returns the reversed graph: same nodes, every edge flipped.
-    ///
-    /// Edge ids are preserved (edge `i` of the result is the reverse of edge
-    /// `i` of `self`).
-    pub fn reversed(&self) -> DiGraph<N, E>
-    where
-        N: Clone,
-        E: Clone,
-    {
-        let mut g = DiGraph::with_capacity(self.node_count(), self.edge_count());
-        for n in &self.nodes {
-            g.add_node(n.clone());
-        }
-        for e in &self.edges {
-            g.add_edge(e.target, e.source, e.weight.clone());
-        }
-        g
     }
 }
 
@@ -363,11 +253,11 @@ mod tests {
         let (g, [a, b, _c, d]) = diamond();
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.out_degree(a), 2);
-        assert_eq!(g.in_degree(a), 0);
-        assert_eq!(g.out_degree(d), 0);
-        assert_eq!(g.in_degree(d), 2);
-        assert_eq!(g.out_degree(b), 1);
+        assert_eq!(g.out_edge_ids(a).len(), 2);
+        assert_eq!(g.in_edge_ids(a).len(), 0);
+        assert_eq!(g.out_edge_ids(d).len(), 0);
+        assert_eq!(g.in_edge_ids(d).len(), 2);
+        assert_eq!(g.out_edge_ids(b).len(), 1);
     }
 
     #[test]
@@ -378,53 +268,11 @@ mod tests {
         g.add_edge(a, b, 1);
         g.add_edge(a, b, 2);
         g.add_edge(a, a, 3);
-        assert_eq!(g.out_degree(a), 3);
-        assert_eq!(g.in_degree(b), 2);
-        assert_eq!(g.in_degree(a), 1);
+        assert_eq!(g.out_edge_ids(a).len(), 3);
+        assert_eq!(g.in_edge_ids(b).len(), 2);
+        assert_eq!(g.in_edge_ids(a).len(), 1);
         let weights: Vec<u32> = g.out_edges(a).map(|(_, e)| e.weight).collect();
         assert_eq!(weights, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn find_edge_respects_predicate() {
-        let mut g: DiGraph<(), u32> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let e1 = g.add_edge(a, b, 1);
-        let e2 = g.add_edge(a, b, 2);
-        assert_eq!(g.find_edge(a, b, |w| *w == 2), Some(e2));
-        assert_eq!(g.find_edge(a, b, |w| *w == 1), Some(e1));
-        assert_eq!(g.find_edge(a, b, |w| *w == 9), None);
-        assert_eq!(g.find_edge(b, a, |_| true), None);
-    }
-
-    #[test]
-    fn contains_edge_direction_sensitive() {
-        let (g, [a, b, _, _]) = diamond();
-        assert!(g.contains_edge(a, b));
-        assert!(!g.contains_edge(b, a));
-    }
-
-    #[test]
-    fn map_preserves_ids() {
-        let (g, [a, _, _, d]) = diamond();
-        let mapped = g.map(|id, n| format!("{}#{}", n, id.0), |_, e| e.weight.len());
-        assert_eq!(mapped.node(a), "a#0");
-        assert_eq!(mapped.node(d), "d#3");
-        assert_eq!(mapped.edge_count(), 4);
-        assert!(mapped.edges().all(|(_, e)| e.weight == 2));
-        // adjacency preserved
-        assert_eq!(mapped.out_degree(a), 2);
-    }
-
-    #[test]
-    fn reversed_flips_edges() {
-        let (g, [a, b, _, d]) = diamond();
-        let r = g.reversed();
-        assert!(r.contains_edge(b, a));
-        assert!(!r.contains_edge(a, b));
-        assert_eq!(r.out_degree(d), 2);
-        assert_eq!(r.in_degree(d), 0);
     }
 
     #[test]
@@ -443,13 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn node_mut_and_edge_weight_mut() {
+    fn edge_weight_mut_keeps_endpoints() {
         let mut g: DiGraph<u32, u32> = DiGraph::new();
         let a = g.add_node(0);
         let e = g.add_edge(a, a, 10);
-        *g.node_mut(a) += 1;
         *g.edge_weight_mut(e) += 1;
-        assert_eq!(*g.node(a), 1);
         assert_eq!(g.edge(e).weight, 11);
+        assert_eq!((g.edge(e).source, g.edge(e).target), (a, a));
     }
 }

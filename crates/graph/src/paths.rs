@@ -52,7 +52,7 @@ impl SimplePath {
 }
 
 /// Enumerates all simple paths from `source` to `target` with at most
-/// `max_len` edges. See [`simple_paths_filtered`] for the general form.
+/// `max_len` edges.
 pub fn simple_paths<N, E>(
     graph: &DiGraph<N, E>,
     source: NodeId,
@@ -79,7 +79,7 @@ pub fn simple_paths<N, E>(
 ///
 /// The search is a depth-first backtracking walk, so memory is O(longest
 /// path) plus the collected results.
-pub fn simple_paths_filtered<N, E>(
+fn simple_paths_filtered<N, E>(
     graph: &DiGraph<N, E>,
     source: NodeId,
     mut is_target: impl FnMut(NodeId) -> bool,

@@ -22,11 +22,6 @@ impl std::fmt::Display for CycleError {
 
 impl std::error::Error for CycleError {}
 
-/// Topologically sorts the whole graph. See [`topo_sort_filtered`].
-pub fn topo_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
-    topo_sort_filtered(graph, |_, _| true)
-}
-
 /// Topologically sorts the subgraph consisting of all nodes and only the
 /// edges accepted by `edge_filter` (Kahn's algorithm).
 ///
@@ -76,6 +71,11 @@ pub fn topo_sort_filtered<N, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sorts over every edge.
+    fn topo_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
+        topo_sort_filtered(graph, |_, _| true)
+    }
 
     #[test]
     fn sorts_a_dag() {

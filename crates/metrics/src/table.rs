@@ -31,18 +31,6 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders rows as CSV (no quoting — callers control the content).
-pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,11 +49,5 @@ mod tests {
         assert!(lines[0].starts_with("E "));
         assert!(lines[2].starts_with("1 "));
         assert!(lines[3].starts_with("10"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let c = to_csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(c, "a,b\n1,2\n");
     }
 }

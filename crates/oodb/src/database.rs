@@ -121,11 +121,6 @@ impl Database {
         &self.schema
     }
 
-    /// Shared handle to the schema this database instantiates.
-    pub fn schema_arc(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
     /// Total stored link instances (inverse links counted separately, as
     /// stored).
     pub fn link_count(&self) -> usize {
@@ -254,30 +249,6 @@ impl Database {
             }
         }
         removed
-    }
-
-    /// Removes all attribute values of `o` under `rel`.
-    pub fn clear_attr(&mut self, rel: RelId, o: ObjectId) {
-        self.attrs[rel.index()].remove(&o);
-    }
-
-    /// Removes an object: all links to and from it (through every
-    /// relationship), its attribute values, and its extent membership.
-    /// The id is never reused.
-    pub fn remove_object(&mut self, o: ObjectId) -> Result<(), DbError> {
-        self.class_of(o)?; // validate liveness
-        for table in &mut self.links {
-            table.remove(&o);
-            for targets in table.values_mut() {
-                targets.retain(|&t| t != o);
-            }
-            table.retain(|_, targets| !targets.is_empty());
-        }
-        for table in &mut self.attrs {
-            table.remove(&o);
-        }
-        self.class_of[o.index()] = None;
-        Ok(())
     }
 
     /// Follows one relationship step from an object set, per the kind's
@@ -461,50 +432,6 @@ mod tests {
         assert!(db.linked(take.id, s).is_empty());
         assert!(db.linked(take.inverse.unwrap(), c).is_empty());
         assert!(!db.unlink(take.id, s, c), "second unlink is a no-op");
-    }
-
-    #[test]
-    fn remove_object_cleans_everything() {
-        let schema = Arc::new(fixtures::university());
-        let mut db = Database::new(Arc::clone(&schema));
-        let student = schema.class_named("student").unwrap();
-        let course = schema.class_named("course").unwrap();
-        let person = schema.class_named("person").unwrap();
-        let s = db.add_object(student).unwrap();
-        let c = db.add_object(course).unwrap();
-        let take = schema
-            .out_rel_named(student, schema.symbol("take").unwrap())
-            .unwrap();
-        db.link(take.id, s, c).unwrap();
-        let name = schema
-            .out_rel_named(person, schema.symbol("name").unwrap())
-            .unwrap();
-        db.set_attr(name.id, s, Value::text("Zed")).unwrap();
-
-        db.remove_object(s).unwrap();
-        assert_eq!(db.object_count(), 1);
-        assert!(db.extent(student).is_empty());
-        assert!(db.linked(take.inverse.unwrap(), c).is_empty());
-        assert!(db.attr_values(name.id, s).is_empty());
-        assert!(matches!(db.class_of(s), Err(DbError::NoSuchObject(_))));
-        assert!(matches!(db.remove_object(s), Err(DbError::NoSuchObject(_))));
-        // The id is not reused.
-        let s2 = db.add_object(student).unwrap();
-        assert_ne!(s2, s);
-    }
-
-    #[test]
-    fn clear_attr_removes_values() {
-        let schema = Arc::new(fixtures::university());
-        let mut db = Database::new(Arc::clone(&schema));
-        let person = schema.class_named("person").unwrap();
-        let o = db.add_object(person).unwrap();
-        let name = schema
-            .out_rel_named(person, schema.symbol("name").unwrap())
-            .unwrap();
-        db.set_attr(name.id, o, Value::text("Ann")).unwrap();
-        db.clear_attr(name.id, o);
-        assert!(db.attr_values(name.id, o).is_empty());
     }
 
     #[test]

@@ -67,11 +67,6 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// The certain answers (every completion agrees), sorted.
-    pub fn certain_answers(&self) -> impl Iterator<Item = &ProvenanceAnswer> {
-        self.answers.iter().filter(|a| a.certain)
-    }
-
     /// Number of possible answers (all of `answers`).
     pub fn possible(&self) -> usize {
         self.answers.len()
@@ -280,7 +275,10 @@ mod tests {
         // optimal readings of `ta~name` reach person.name, so Alice's
         // name is unanimous.
         assert!(out.answers.iter().any(|a| a.certain));
-        assert_eq!(out.certain, out.certain_answers().count());
+        assert_eq!(
+            out.certain,
+            out.answers.iter().filter(|a| a.certain).count()
+        );
     }
 
     #[test]

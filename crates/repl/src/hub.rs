@@ -110,10 +110,6 @@ impl ReplHub {
         inner.closed = true;
         self.cond.notify_all();
     }
-
-    pub fn subscriber_count(&self) -> usize {
-        lock_inner(&self.inner).subs.len()
-    }
 }
 
 fn lock_inner<'a>(mutex: &'a Mutex<HubInner>) -> std::sync::MutexGuard<'a, HubInner> {
@@ -236,9 +232,10 @@ mod tests {
     fn drop_unregisters() {
         let hub = Arc::new(ReplHub::new(0));
         let sub = hub.subscribe();
-        assert_eq!(hub.subscriber_count(), 1);
+        let subscribers = || lock_inner(&hub.inner).subs.len();
+        assert_eq!(subscribers(), 1);
         drop(sub);
-        assert_eq!(hub.subscriber_count(), 0);
+        assert_eq!(subscribers(), 0);
     }
 
     #[test]

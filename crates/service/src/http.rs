@@ -7,8 +7,8 @@
 //! bytes it consumed, so pipelined bytes after the request are preserved
 //! for the next call), asks for more bytes, or rejects the prefix with
 //! the HTTP status the connection should die with. The reactor drives it
-//! off readiness events; [`read_request`] wraps it for blocking streams
-//! with an explicit carry-over buffer per connection.
+//! off readiness events and writes what [`render_response`] renders; the
+//! blocking [`Client`] is for load generators and tests.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -227,64 +227,12 @@ pub fn parse_request(buf: &[u8]) -> ParseOutcome {
     }
 }
 
-/// Why reading a request stopped.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A full request was framed.
-    Ok(Request),
-    /// The peer closed the connection cleanly between requests.
-    Closed,
-    /// The bytes on the wire are not HTTP or exceed the configured caps;
-    /// the connection should get the paired status (`400`, `413`, or
-    /// `431`) and be dropped.
-    Malformed(u16, &'static str),
-    /// A socket timeout or I/O error.
-    Err(io::Error),
-}
-
-/// Reads one request from `stream`, blocking; honours the stream's
-/// configured read timeout (a timeout surfaces as [`ReadOutcome::Err`]).
-///
-/// `carry` is this connection's leftover buffer: bytes read past the
-/// previous request's body (pipelined requests) are consumed from it
-/// first and any over-read of *this* request is left in it for the next
-/// call. Pass the same buffer for the lifetime of the connection — a
-/// fresh buffer per call silently corrupts pipelined traffic.
-pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> ReadOutcome {
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(carry) {
-            ParseOutcome::Ok { request, consumed } => {
-                carry.drain(..consumed);
-                return ReadOutcome::Ok(request);
-            }
-            ParseOutcome::Malformed(status, msg) => {
-                carry.clear();
-                return ReadOutcome::Malformed(status, msg);
-            }
-            ParseOutcome::Incomplete => match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if carry.is_empty() {
-                        ReadOutcome::Closed
-                    } else {
-                        carry.clear();
-                        ReadOutcome::Malformed(400, "connection closed mid-request")
-                    };
-                }
-                Ok(n) => carry.extend_from_slice(&chunk[..n]),
-                Err(e) => return ReadOutcome::Err(e),
-            },
-        }
-    }
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Renders one response (status line, headers, body) into wire bytes.
-/// This is the single serialization point shared by the reactor's
-/// in-memory write buffers and the blocking [`write_response`] helpers.
+/// Renders one response (status line, headers, body) into wire bytes:
+/// the single serialization point of the reactor's write buffers.
 pub fn render_response(
     status: u16,
     content_type: &str,
@@ -322,33 +270,6 @@ pub fn render_response(
     let mut out = head.into_bytes();
     out.extend_from_slice(body.as_bytes());
     out
-}
-
-/// Writes one response with a JSON (or plain-text) body.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response_with(stream, status, content_type, body, keep_alive, &[])
-}
-
-/// Like [`write_response`], with additional response headers (e.g. the
-/// `x-ipe-trace-id` echo). Header values must be line-safe; the caller
-/// guarantees it.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    let bytes = render_response(status, content_type, body, keep_alive, extra_headers);
-    stream.write_all(&bytes)?;
-    stream.flush()
 }
 
 /// A minimal blocking HTTP/1.1 client with keep-alive, for the load
@@ -603,36 +524,5 @@ mod tests {
             parse_request(b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n"),
             ParseOutcome::Malformed(400, _)
         ));
-    }
-
-    /// The blocking wrapper preserves over-read bytes in the carry buffer
-    /// across calls — the pipelining fix for blocking connections.
-    #[test]
-    fn read_request_carries_leftover_bytes() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // Both requests land in one write (likely one segment).
-            s.write_all(b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET /b HTTP/1.1\r\n\r\n")
-                .unwrap();
-            std::mem::forget(s); // keep the socket open past thread exit
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let mut carry = Vec::new();
-        let ReadOutcome::Ok(first) = read_request(&mut conn, &mut carry) else {
-            panic!("first request did not frame");
-        };
-        assert_eq!(
-            (first.path.as_str(), first.body.as_slice()),
-            ("/a", &b"abc"[..])
-        );
-        let ReadOutcome::Ok(second) = read_request(&mut conn, &mut carry) else {
-            panic!("second (pipelined) request was lost");
-        };
-        assert_eq!(second.path, "/b");
-        assert!(carry.is_empty());
-        writer.join().unwrap();
     }
 }

@@ -15,9 +15,10 @@
 //!   reactors over `SO_REUSEPORT` acceptor shards, per-connection state
 //!   machines with pipelining-safe framing, bounded live connections
 //!   (`503` beyond), per-request deadlines (`408` on expiry), graceful
-//!   drain — serving `POST /v1/complete`, `GET /v1/schemas`,
-//!   `GET`/`PUT`/`DELETE /v1/schemas/:name`, `GET /healthz`,
-//!   `GET /metrics`, and `POST /v1/shutdown`;
+//!   drain — serving the routes of one static table (`ROUTES` in
+//!   `server/routes.rs`, described in DESIGN.md §9): completion, batch
+//!   and query search, schema, data and tenant resources, health,
+//!   metrics, replication, request tracing, and shutdown;
 //! * optional durability via `ipe-store`: with
 //!   [`ServiceConfig::data_dir`] set, registry mutations are
 //!   write-through to a checksummed WAL with periodic snapshots, startup

@@ -42,7 +42,7 @@ const FOLLOWER_READ_TIMEOUT: Duration = Duration::from_millis(500);
 /// Follower-side connect timeout per attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Marker a route handler puts on a [`crate::server::Reply`] to tell the
+/// Marker a route handler puts on its reply to tell the
 /// reactor: after flushing the response head, detach this connection and
 /// hand it to a replication streaming thread starting at `from_seq`.
 pub(crate) struct StreamStart {

@@ -238,6 +238,41 @@ fn retry_envelopes_are_machine_readable() {
     srv.shutdown();
 }
 
+/// A request that names no route is a plain `404` and costs the tenant
+/// nothing: mistyped paths next to real work routes (`completeX`,
+/// `schemasfoo`, a wrong method on `/complete`) must not drain the rate
+/// quota that the real routes need.
+#[test]
+fn unknown_paths_do_not_drain_the_rate_quota() {
+    let (srv, mut c) = server(None);
+    const TYPOS: [(&str, &str); 4] = [
+        ("POST", "/v1/t/typo/completeX"),
+        ("GET", "/v1/t/typo/schemasfoo"),
+        ("DELETE", "/v1/t/typo/complete"),
+        ("POST", "/v1/t/typo/queryy"),
+    ];
+    // One token for the schema upload, then exactly one per typo.
+    let burst = TYPOS.len() + 1;
+    let quota = format!("{{\"rate_per_sec\": 0.001, \"burst\": {burst}}}");
+    let (status, body) = c.request("PUT", "/v1/tenants/typo", &quota).unwrap();
+    assert_eq!(status, 201, "{body}");
+    let uni = fixtures::university().to_json();
+    let (status, body) = c.request("PUT", "/v1/t/typo/schemas/s", &uni).unwrap();
+    assert_eq!(status, 200, "{body}");
+    for (method, path) in TYPOS {
+        let (status, body) = c.request(method, path, "{}").unwrap();
+        assert_eq!(status, 404, "{method} {path}: {body}");
+    }
+    let req = "{\"schema\":\"s\",\"query\":\"ta~name\"}";
+    let (status, body) = c.request("POST", "/v1/t/typo/complete", req).unwrap();
+    assert_eq!(status, 200, "typos drained the quota: {body}");
+    let (_, body) = c.request("GET", "/v1/tenants/typo", "").unwrap();
+    let v = serde_json::parse_value_text(&body).unwrap();
+    assert_eq!(as_u64(&get(&v, "admitted")), 2, "{body}");
+    assert_eq!(as_u64(&get(&v, "throttled")), 0, "{body}");
+    srv.shutdown();
+}
+
 /// `DELETE /v1/tenants/:t` atomically purges everything the tenant owns —
 /// schemas, data instances, cache partition, index sidecars — reports the
 /// counts, and the purge survives a restart (the WAL carries the

@@ -78,6 +78,12 @@ cargo test -q -p ipe-store --test migration
 echo "== replication kill -9 catch-up smoke =="
 ./target/release/repl_bench --kill9-smoke
 
+echo "== benchmark build and self-tests =="
+# perfbench/ is its own cargo workspace that compiles against
+# ipe-service's public API; building it here keeps a refactor of that API
+# from breaking the benchmark unnoticed.
+python3 perfbench/run.py --test
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 

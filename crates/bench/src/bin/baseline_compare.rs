@@ -15,12 +15,12 @@ use ipe_core::{Completer, CompletionConfig};
 use ipe_metrics::recall_precision;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let seed: u64 = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let nseeds: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let (seed, nseeds) = ipe_bench::args(|a| {
+        Ok((
+            a.positional("seed", DEFAULT_SEED)?,
+            a.positional("#seeds", 3u64)?,
+        ))
+    });
 
     let mut rows = Vec::new();
     let mut sums = [0.0f64; 6];

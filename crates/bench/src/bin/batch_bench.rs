@@ -202,18 +202,12 @@ fn trace_overhead(
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let trace_sample: u64 = match argv.iter().position(|a| a == "--trace-sample") {
-        Some(i) => match argv.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(n) => n,
-            None => {
-                eprintln!("--trace-sample needs a numeric value");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => 1,
-    };
+    let (smoke, trace_sample) =
+        ipe_bench::args(|a| Ok((a.switch("--smoke"), a.num("--trace-sample", 1u64)?)));
+    ipe_bench::exit(run(smoke, trace_sample))
+}
+
+fn run(smoke: bool, trace_sample: u64) -> Result<(), String> {
     let schema = dense_schema();
     // Uncapped results: the heavy searches must be stopped by their
     // deadline, not by the result limit.
@@ -233,18 +227,17 @@ fn main() -> ExitCode {
         for threads in [1, 2] {
             let run = run_once(&engine, &items, threads, Duration::from_millis(60));
             if run.deadline_hits != 2 || run.ok != 6 || run.errors != 0 {
-                eprintln!(
+                return Err(format!(
                     "smoke FAILED at {threads} thread(s): {} ok, {} deadline, {} errors (want 6/2/0)",
                     run.ok, run.deadline_hits, run.errors
-                );
-                return ExitCode::FAILURE;
+                ));
             }
             eprintln!(
                 "smoke ok at {threads} thread(s): 6 ok, 2 deadline-bound, {:.0}ms",
                 run.wall.as_secs_f64() * 1e3
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let items = workload(WORKLOAD, HEAVY);
@@ -270,8 +263,7 @@ fn main() -> ExitCode {
     let speedup = wall_1 / wall_4.max(1e-9);
     eprintln!("  4-thread speedup over 1 thread: {speedup:.2}x");
     if walls.iter().any(|(_, r)| r.errors > 0) {
-        eprintln!("error: unexpected engine errors in the workload");
-        return ExitCode::FAILURE;
+        return Err("unexpected engine errors in the workload".to_owned());
     }
 
     // Tracing overhead over the cheap items, off vs. unsampled vs.
@@ -294,11 +286,10 @@ fn main() -> ExitCode {
         sampled_ns as f64 / 1e6,
     );
     if unsampled_ns > off_ns + off_ns / 50 && unsampled_ns - off_ns > 100_000 {
-        eprintln!(
-            "error: unsampled tracing overhead {overhead_pct:.2}% exceeds the 2% budget \
+        return Err(format!(
+            "unsampled tracing overhead {overhead_pct:.2}% exceeds the 2% budget \
              ({off_ns}ns -> {unsampled_ns}ns)"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
 
     let cores_s = cores.to_string();
@@ -338,5 +329,5 @@ fn main() -> ExitCode {
     if speedup < 2.5 {
         eprintln!("warning: 4-thread speedup below 2.5x ({speedup:.2}x)");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

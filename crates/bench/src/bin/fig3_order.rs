@@ -7,6 +7,7 @@
 use ipe_algebra::moose::{better, rank, Connector};
 
 fn main() {
+    ipe_bench::args(|_| Ok(()));
     println!("Figure 3: the partial order ≺ (arrows go from worse to better)\n");
     // Group by rank.
     let mut by_rank: Vec<(u8, Vec<String>)> = Vec::new();

@@ -11,12 +11,12 @@ use ipe_bench::{experiment_setup, pct, DEFAULT_SEED};
 use ipe_metrics::{sweep, ExperimentConfig};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let seed: u64 = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let nseeds: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(5);
+    let (seed, nseeds) = ipe_bench::args(|a| {
+        Ok((
+            a.positional("seed", DEFAULT_SEED)?,
+            a.positional("#seeds", 5u64)?,
+        ))
+    });
 
     let e_values: Vec<usize> = (1..=5).collect();
     let mut std_sum = vec![0.0; e_values.len()];

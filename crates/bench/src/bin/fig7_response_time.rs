@@ -10,10 +10,7 @@ use ipe_bench::{experiment_setup, DEFAULT_SEED};
 use ipe_metrics::time_queries;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = ipe_bench::args(|a| a.positional("seed", DEFAULT_SEED));
     let (gen, workload) = experiment_setup(seed);
     let timings = time_queries(&gen, &workload, 5);
     println!("Figure 7: response time per query at E=5  (CUPID-calibrated schema, seed {seed})\n");

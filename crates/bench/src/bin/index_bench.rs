@@ -18,7 +18,6 @@ use ipe_bench::write_run_report_with_stats;
 use ipe_core::{Completer, CompletionConfig};
 use ipe_gen::{generate_schema, generate_workload, GenConfig, WorkloadConfig};
 use ipe_index::{IndexMode, IndexedSchema, SearchIndex};
-use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,13 +25,13 @@ use std::time::Instant;
 /// must demonstrate.
 const MIN_SPEEDUP_X: f64 = 2.0;
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(ipe_bench::DEFAULT_SEED);
+fn main() {
+    let (smoke, seed) = ipe_bench::args(|a| {
+        Ok((
+            a.switch("--smoke"),
+            a.positional("seed", ipe_bench::DEFAULT_SEED)?,
+        ))
+    });
     let sizes: &[usize] = if smoke { &[23, 46] } else { &[23, 46, 92, 184] };
     let queries = if smoke { 6 } else { 12 };
     println!("Index-guided search vs cold DFS (E=1, Safe pruning)\n");
@@ -147,5 +146,4 @@ fn main() -> ExitCode {
         ],
         &stat_refs,
     );
-    ExitCode::SUCCESS
 }

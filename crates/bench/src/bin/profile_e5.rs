@@ -8,6 +8,7 @@ use ipe_core::{Completer, CompletionConfig, Pruning};
 use std::time::Instant;
 
 fn main() {
+    ipe_bench::args(|_| Ok(()));
     let (gen, workload) = experiment_setup(1994);
     for pruning in [Pruning::Safe, Pruning::Paper] {
         for e in [1usize, 3, 5] {

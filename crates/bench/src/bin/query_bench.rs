@@ -52,52 +52,16 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        objects: 300,
-        links: 40,
-        iters: 200,
-        smoke: false,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(a) = it.next() {
-        let mut grab = |name: &str| -> Result<usize, String> {
-            it.next()
-                .ok_or(format!("{name} needs a value"))?
-                .parse()
-                .map_err(|_| format!("{name} must be a number"))
-        };
-        match a.as_str() {
-            "--objects" => args.objects = grab("--objects")?,
-            "--links" => args.links = grab("--links")?,
-            "--iters" => args.iters = grab("--iters")?,
-            "--smoke" => args.smoke = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if args.objects == 0 || args.iters == 0 {
-        return Err("--objects and --iters must be >= 1".to_owned());
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.smoke { smoke() } else { bench(&args) };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let args = ipe_bench::args(|a| {
+        Ok(Args {
+            objects: a.count("--objects", 300)?,
+            links: a.num("--links", 40)?,
+            iters: a.count("--iters", 200)?,
+            smoke: a.switch("--smoke"),
+        })
+    });
+    ipe_bench::exit(if args.smoke { smoke() } else { bench(&args) })
 }
 
 fn options_at(e: usize) -> QueryOptions {

@@ -24,84 +24,29 @@
 //! `--kill9-smoke` runs the sibling `ipe` binary from the same target
 //! directory (override with `IPE_BIN`).
 
-use ipe_bench::write_run_report_with_stats;
+use ipe_bench::{call, json, json_bool, json_u64, spawn_ipe, tmp_dir, write_run_report_with_stats};
 use ipe_schema::fixtures;
 use ipe_service::{Client, FsyncPolicy, Server, ServiceConfig};
-use serde::Value;
-use std::io::BufRead;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Args {
-    requests: usize,
-    smoke: bool,
-    kill9: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        requests: 2000,
-        smoke: false,
-        kill9: false,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .ok_or("--requests needs a value")?
-                    .parse()
-                    .map_err(|_| "--requests must be a number")?
-            }
-            "--smoke" => args.smoke = true,
-            "--kill9-smoke" => args.kill9 = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if args.requests == 0 {
-        return Err("--requests must be >= 1".to_owned());
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.smoke {
+    let (smoke_mode, kill9_mode, requests) = ipe_bench::args(|a| {
+        Ok((
+            a.switch("--smoke"),
+            a.switch("--kill9-smoke"),
+            a.count("--requests", 2000)?,
+        ))
+    });
+    ipe_bench::exit(if smoke_mode {
         smoke()
-    } else if args.kill9 {
+    } else if kill9_mode {
         kill9_smoke()
     } else {
-        bench(args.requests)
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ipe-repl-bench-{}-{tag}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).ok();
-    dir
+        bench(requests)
+    })
 }
 
 fn start_leader(dir: &Path) -> Result<Server, String> {
@@ -130,21 +75,6 @@ fn start_follower(leader_addr: &str) -> Result<Server, String> {
     .map_err(|e| format!("cannot start follower: {e}"))
 }
 
-fn json_u64(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::U64(u)) => Ok(*u),
-        Some(Value::I64(i)) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
-fn json_bool(v: &Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
 /// Polls `addr` until `GET /readyz` answers 200, failing after ~10s.
 fn await_ready(addr: &str) -> Result<(), String> {
     let mut client = Client::new(addr.to_owned());
@@ -169,7 +99,7 @@ fn await_applied(addr: &str, seq: u64) -> Result<(), String> {
             .request("GET", "/v1/repl/status", "")
             .map_err(|e| e.to_string())?;
         if status == 200 {
-            let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
+            let v = json(&body)?;
             if json_u64(&v, "applied_seq")? >= seq && json_u64(&v, "lag_seq")? == 0 {
                 return Ok(());
             }
@@ -220,12 +150,7 @@ fn bench(requests: usize) -> Result<(), String> {
     let leader_addr = leader.addr().to_string();
     let mut lc = Client::new(leader_addr.clone());
     let uni = fixtures::university().to_json();
-    let (status, body) = lc
-        .request("PUT", "/v1/schemas/bench", &uni)
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("PUT bench schema: {status}: {body}"));
-    }
+    call(&mut lc, "PUT", "/v1/schemas/bench", &uni, 200)?;
 
     let f1 = start_follower(&leader_addr)?;
     let f2 = start_follower(&leader_addr)?;
@@ -311,12 +236,7 @@ fn smoke() -> Result<(), String> {
     let mut lc = Client::new(leader_addr.clone());
     let uni = fixtures::university().to_json();
     for _ in 0..3 {
-        let (status, body) = lc
-            .request("PUT", "/v1/schemas/bench", &uni)
-            .map_err(|e| e.to_string())?;
-        if status != 200 {
-            return Err(format!("PUT: {status}: {body}"));
-        }
+        call(&mut lc, "PUT", "/v1/schemas/bench", &uni, 200)?;
     }
 
     let follower = start_follower(&leader_addr)?;
@@ -327,28 +247,12 @@ fn smoke() -> Result<(), String> {
 
     // The replicated generation serves; one past it defers (final, since
     // the node is caught up); the write redirects.
-    let (status, body) = fc
-        .request(
-            "POST",
-            "/v1/complete",
-            "{\"schema\":\"bench\",\"query\":\"ta~name\",\"min_generation\":3}",
-        )
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("caught-up read refused: {status}: {body}"));
-    }
-    let (status, body) = fc
-        .request(
-            "POST",
-            "/v1/complete",
-            "{\"schema\":\"bench\",\"query\":\"ta~name\",\"min_generation\":4}",
-        )
-        .map_err(|e| e.to_string())?;
-    if status != 409 {
-        return Err(format!("future generation served: {status}: {body}"));
-    }
-    let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-    if json_bool(&v, "retryable")? {
+    let at = |generation: u64| {
+        format!("{{\"schema\":\"bench\",\"query\":\"ta~name\",\"min_generation\":{generation}}}")
+    };
+    call(&mut fc, "POST", "/v1/complete", &at(3), 200)?;
+    let body = call(&mut fc, "POST", "/v1/complete", &at(4), 409)?;
+    if json_bool(&json(&body)?, "retryable")? {
         return Err(format!("caught-up refusal must be final: {body}"));
     }
     let resp = fc
@@ -369,52 +273,7 @@ fn smoke() -> Result<(), String> {
     Ok(())
 }
 
-/// Locates the `ipe` binary: `$IPE_BIN`, else a sibling of this binary.
-fn ipe_binary() -> Result<PathBuf, String> {
-    if let Ok(path) = std::env::var("IPE_BIN") {
-        return Ok(PathBuf::from(path));
-    }
-    let me = std::env::current_exe().map_err(|e| e.to_string())?;
-    let sibling = me
-        .parent()
-        .ok_or("cannot locate target directory")?
-        .join("ipe");
-    if sibling.exists() {
-        Ok(sibling)
-    } else {
-        Err(format!(
-            "{} not found; build the `ipe` binary first or set IPE_BIN",
-            sibling.display()
-        ))
-    }
-}
-
-/// Spawns `ipe serve` with `extra` flags on an ephemeral port and scrapes
-/// the bound address from its stdout.
-fn spawn_server(ipe: &Path, extra: &[&str]) -> Result<(Child, String), String> {
-    let mut child = Command::new(ipe)
-        .args(["serve", "--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", ipe.display()))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.map_err(|e| e.to_string())?;
-        if let Some(addr) = line.strip_prefix("ipe-service listening on http://") {
-            let addr = addr.trim().to_owned();
-            std::thread::spawn(move || for _ in lines {});
-            return Ok((child, addr));
-        }
-    }
-    let _ = child.kill();
-    Err("server exited before printing its address".to_owned())
-}
-
 fn kill9_smoke() -> Result<(), String> {
-    let ipe = ipe_binary()?;
     let leader_dir = tmp_dir("kill9-leader");
     let follower_dir = tmp_dir("kill9-follower");
     let uni = fixtures::university().to_json();
@@ -422,26 +281,18 @@ fn kill9_smoke() -> Result<(), String> {
     // snapshot_every=0 keeps the leader's whole WAL: the restarted
     // follower must be able to resume from its persisted seq without a
     // snapshot bootstrap, and we assert exactly that.
-    let (mut leader, leader_addr) = spawn_server(
-        &ipe,
-        &[
-            "--fsync",
-            "never",
-            "--snapshot-every",
-            "0",
-            "--data-dir",
-            leader_dir.to_str().unwrap(),
-        ],
-    )?;
+    let (leader, leader_addr) = spawn_ipe(&[
+        "--fsync",
+        "never",
+        "--snapshot-every",
+        "0",
+        "--data-dir",
+        leader_dir.to_str().ok_or("temp dir is not UTF-8")?,
+    ])?;
     let mut lc = Client::new(leader_addr.clone());
     let check = (|| -> Result<(), String> {
         for _ in 0..4 {
-            let (status, body) = lc
-                .request("PUT", "/v1/schemas/k", &uni)
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("leader PUT: {status}: {body}"));
-            }
+            call(&mut lc, "PUT", "/v1/schemas/k", &uni, 200)?;
         }
         // CLI leaders also seed `default` at seq 1: 4 puts land at 2..=5.
         let leader_seq = 5;
@@ -452,9 +303,9 @@ fn kill9_smoke() -> Result<(), String> {
             "--fsync",
             "always",
             "--data-dir",
-            follower_dir.to_str().unwrap(),
+            follower_dir.to_str().ok_or("temp dir is not UTF-8")?,
         ];
-        let (mut follower, f_addr) = spawn_server(&ipe, &follower_flags)?;
+        let (mut follower, f_addr) = spawn_ipe(&follower_flags)?;
         await_ready(&f_addr)?;
         await_applied(&f_addr, leader_seq)?;
         println!("follower caught up through seq {leader_seq}; SIGKILL");
@@ -463,41 +314,24 @@ fn kill9_smoke() -> Result<(), String> {
 
         // Writes the dead follower misses.
         for _ in 0..3 {
-            let (status, _) = lc
-                .request("PUT", "/v1/schemas/k", &uni)
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("leader PUT after kill: {status}"));
-            }
+            call(&mut lc, "PUT", "/v1/schemas/k", &uni, 200)?;
         }
         let leader_seq = leader_seq + 3;
 
-        let (mut follower, f_addr) = spawn_server(&ipe, &follower_flags)?;
+        let (follower, f_addr) = spawn_ipe(&follower_flags)?;
         let inner = (|| -> Result<(), String> {
             await_ready(&f_addr)?;
             await_applied(&f_addr, leader_seq)?;
             let mut fc = Client::new(f_addr.clone());
-            let (status, body) = fc
-                .request("GET", "/v1/repl/status", "")
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("repl status: {status}"));
-            }
-            let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-            if json_u64(&v, "snapshots_installed")? != 0 {
+            let body = call(&mut fc, "GET", "/v1/repl/status", "", 200)?;
+            if json_u64(&json(&body)?, "snapshots_installed")? != 0 {
                 return Err(format!(
                     "restart re-bootstrapped instead of resuming from its \
                      persisted seq: {body}"
                 ));
             }
-            let (status, body) = fc
-                .request("GET", "/v1/schemas/k", "")
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("replicated schema lost: {status}"));
-            }
-            let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-            let generation = json_u64(&v, "generation")?;
+            let body = call(&mut fc, "GET", "/v1/schemas/k", "", 200)?;
+            let generation = json_u64(&json(&body)?, "generation")?;
             if generation != 7 {
                 return Err(format!("follower at generation {generation}, leader at 7"));
             }
@@ -507,15 +341,11 @@ fn kill9_smoke() -> Result<(), String> {
             );
             Ok(())
         })();
-        let mut fc = Client::new(f_addr);
-        let _ = fc.request("POST", "/v1/shutdown", "");
-        let _ = follower.wait();
-        inner
+        inner.and(ipe_bench::shutdown_ipe(follower, &f_addr))
     })();
-    let _ = lc.request("POST", "/v1/shutdown", "");
-    let _ = leader.wait();
+    let stopped = ipe_bench::shutdown_ipe(leader, &leader_addr);
     for d in [&leader_dir, &follower_dir] {
         std::fs::remove_dir_all(d).ok();
     }
-    check
+    check.and(stopped)
 }

@@ -9,10 +9,7 @@ use ipe_gen::{generate_schema, generate_workload, GenConfig, WorkloadConfig};
 use std::time::Instant;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
+    let seed = ipe_bench::args(|a| a.positional("seed", 7u64));
     println!("Scaling: avg completion time/query vs schema size (E=1)\n");
     let mut rows = Vec::new();
     for classes in [23, 46, 92, 184, 368] {

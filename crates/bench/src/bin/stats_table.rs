@@ -12,10 +12,7 @@ use ipe_bench::{experiment_setup, DEFAULT_SEED};
 use ipe_core::{exhaustive, Completer, CompletionConfig};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = ipe_bench::args(|a| a.positional("seed", DEFAULT_SEED));
     let (gen, workload) = experiment_setup(seed);
     let schema = &gen.schema;
     println!(

@@ -22,83 +22,29 @@
 //! `--kill9-smoke` runs the sibling `ipe` binary from the same target
 //! directory (override with `IPE_BIN`).
 
-use ipe_bench::write_run_report_with_stats;
+use ipe_bench::{call, json, json_u64, spawn_ipe, tmp_dir, write_run_report_with_stats};
 use ipe_schema::fixtures;
 use ipe_service::Client;
 use ipe_store::{FsyncPolicy, Store, StoreConfig, DEFAULT_TENANT};
-use serde::Value;
-use std::io::BufRead;
-use std::path::PathBuf;
-use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-struct Args {
-    appends: usize,
-    smoke: bool,
-    kill9: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        appends: 4000,
-        smoke: false,
-        kill9: false,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--appends" => {
-                args.appends = it
-                    .next()
-                    .ok_or("--appends needs a value")?
-                    .parse()
-                    .map_err(|_| "--appends must be a number")?
-            }
-            "--smoke" => args.smoke = true,
-            "--kill9-smoke" => args.kill9 = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if args.appends == 0 {
-        return Err("--appends must be >= 1".to_owned());
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.smoke {
+    let (smoke_mode, kill9_mode, appends) = ipe_bench::args(|a| {
+        Ok((
+            a.switch("--smoke"),
+            a.switch("--kill9-smoke"),
+            a.count("--appends", 4000)?,
+        ))
+    });
+    ipe_bench::exit(if smoke_mode {
         smoke()
-    } else if args.kill9 {
+    } else if kill9_mode {
         kill9_smoke()
     } else {
-        bench(args.appends)
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "ipe-store-bench-{}-{tag}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
+        bench(appends)
+    })
 }
 
 /// Appends `n` PUT records (round-robin over 64 names, so the log mixes
@@ -280,92 +226,22 @@ fn smoke() -> Result<(), String> {
     Ok(())
 }
 
-/// Locates the `ipe` binary: `$IPE_BIN`, else a sibling of this binary.
-fn ipe_binary() -> Result<PathBuf, String> {
-    if let Ok(path) = std::env::var("IPE_BIN") {
-        return Ok(PathBuf::from(path));
-    }
-    let me = std::env::current_exe().map_err(|e| e.to_string())?;
-    let sibling = me
-        .parent()
-        .ok_or("cannot locate target directory")?
-        .join("ipe");
-    if sibling.exists() {
-        Ok(sibling)
-    } else {
-        Err(format!(
-            "{} not found; build the `ipe` binary first or set IPE_BIN",
-            sibling.display()
-        ))
-    }
-}
-
-/// Spawns `ipe serve --data-dir` on an ephemeral port and scrapes the
-/// bound address from its stdout.
-fn spawn_server(ipe: &PathBuf, dir: &PathBuf) -> Result<(Child, String), String> {
-    let mut child = Command::new(ipe)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--fsync",
-            "always",
-            "--data-dir",
-        ])
-        .arg(dir)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", ipe.display()))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.map_err(|e| e.to_string())?;
-        if let Some(addr) = line.strip_prefix("ipe-service listening on http://") {
-            // Drain the remaining banner lines in the background so the
-            // child never blocks on a full pipe.
-            let addr = addr.trim().to_owned();
-            std::thread::spawn(move || for _ in lines {});
-            return Ok((child, addr));
-        }
-    }
-    let _ = child.kill();
-    Err("server exited before printing its address".to_owned())
-}
-
-fn json_u64(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::U64(u)) => Ok(*u),
-        Some(Value::I64(i)) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
 /// One acknowledged PUT: name, registry id, generation.
 type Ack = (String, u64, u64);
 
 fn kill9_smoke() -> Result<(), String> {
-    let ipe = ipe_binary()?;
     let dir = tmp_dir("kill9");
+    let dir_flag = dir.to_str().ok_or("temp dir is not UTF-8")?;
+    let flags = ["--fsync", "always", "--data-dir", dir_flag];
     let uni = fixtures::university().to_json();
 
-    let (mut child, addr) = spawn_server(&ipe, &dir)?;
+    let (mut child, addr) = spawn_ipe(&flags)?;
     let mut client = Client::new(addr.clone());
 
     // A schema that is registered, then deleted, and must never come
     // back.
-    let (status, _) = client
-        .request("PUT", "/v1/schemas/doomed", &uni)
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("PUT doomed: status {status}"));
-    }
-    let (status, _) = client
-        .request("DELETE", "/v1/schemas/doomed", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("DELETE doomed: status {status}"));
-    }
+    call(&mut client, "PUT", "/v1/schemas/doomed", &uni, 200)?;
+    call(&mut client, "DELETE", "/v1/schemas/doomed", "", 200)?;
 
     // Stream PUTs (8 names, repeatedly hot-swapped) until the kill.
     let acked: Arc<Mutex<Vec<Ack>>> = Arc::new(Mutex::new(Vec::new()));
@@ -379,7 +255,7 @@ fn kill9_smoke() -> Result<(), String> {
                 let path = format!("/v1/schemas/k{}", i % 8);
                 match client.request("PUT", &path, &uni) {
                     Ok((200, body)) => {
-                        let Ok(v) = serde_json::parse_value_text(&body) else {
+                        let Ok(v) = json(&body) else {
                             break;
                         };
                         let (Ok(id), Ok(generation)) =
@@ -424,16 +300,11 @@ fn kill9_smoke() -> Result<(), String> {
     );
 
     // Restart on the same directory; every acknowledged write must be
-    // there.
-    let (mut child, addr) = spawn_server(&ipe, &dir)?;
-    let mut client = Client::new(addr);
+    // there, and the deleted schema must stay deleted.
+    let (child, addr) = spawn_ipe(&flags)?;
+    let mut client = Client::new(addr.clone());
     let check = (|| -> Result<(), String> {
-        let (status, _) = client
-            .request("GET", "/v1/schemas/doomed", "")
-            .map_err(|e| e.to_string())?;
-        if status != 404 {
-            return Err(format!("deleted schema resurrected (status {status})"));
-        }
+        call(&mut client, "GET", "/v1/schemas/doomed", "", 404)?;
         // Fold the ack stream into the final acknowledged state per name.
         let mut last: Vec<Ack> = Vec::new();
         let mut max_acked_id = 0u64;
@@ -445,15 +316,8 @@ fn kill9_smoke() -> Result<(), String> {
             }
         }
         for (name, id, generation) in &last {
-            let (status, body) = client
-                .request("GET", &format!("/v1/schemas/{name}"), "")
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!(
-                    "acknowledged schema `{name}` lost (status {status})"
-                ));
-            }
-            let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
+            let body = call(&mut client, "GET", &format!("/v1/schemas/{name}"), "", 200)?;
+            let v = json(&body)?;
             let (got_id, got_gen) = (json_u64(&v, "id")?, json_u64(&v, "generation")?);
             if got_id != *id {
                 return Err(format!(
@@ -470,29 +334,20 @@ fn kill9_smoke() -> Result<(), String> {
             }
         }
         // Post-restart mutations continue both sequences monotonically.
-        let (name, _, _) = &last[0];
-        let (_, before) = client
-            .request("GET", &format!("/v1/schemas/{name}"), "")
-            .map_err(|e| e.to_string())?;
+        let path = format!("/v1/schemas/{}", last[0].0);
         let before = json_u64(
-            &serde_json::parse_value_text(&before).map_err(|e| e.to_string())?,
+            &json(&call(&mut client, "GET", &path, "", 200)?)?,
             "generation",
         )?;
-        let (status, body) = client
-            .request("PUT", &format!("/v1/schemas/{name}"), &uni)
-            .map_err(|e| e.to_string())?;
-        if status != 200 {
-            return Err(format!("post-restart PUT: status {status}"));
-        }
-        let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-        if json_u64(&v, "generation")? != before + 1 {
+        let after = json_u64(
+            &json(&call(&mut client, "PUT", &path, &uni, 200)?)?,
+            "generation",
+        )?;
+        if after != before + 1 {
             return Err("generation sequence did not continue".to_owned());
         }
-        let (_, body) = client
-            .request("PUT", "/v1/schemas/fresh", &uni)
-            .map_err(|e| e.to_string())?;
-        let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-        if json_u64(&v, "id")? <= max_acked_id {
+        let body = call(&mut client, "PUT", "/v1/schemas/fresh", &uni, 200)?;
+        if json_u64(&json(&body)?, "id")? <= max_acked_id {
             return Err("fresh schema id collides with a pre-crash id".to_owned());
         }
         println!(
@@ -502,8 +357,7 @@ fn kill9_smoke() -> Result<(), String> {
         );
         Ok(())
     })();
-    let _ = client.request("POST", "/v1/shutdown", "");
-    let _ = child.wait();
+    let stopped = ipe_bench::shutdown_ipe(child, &addr);
     std::fs::remove_dir_all(&dir).ok();
-    check
+    check.and(stopped)
 }

@@ -6,6 +6,7 @@
 use ipe_algebra::moose::{compose, Base, Connector};
 
 fn main() {
+    ipe_bench::args(|_| Ok(()));
     let bases = Base::ALL;
     let header: Vec<String> = bases.iter().map(|b| b.symbol().to_owned()).collect();
     let mut rows = Vec::new();

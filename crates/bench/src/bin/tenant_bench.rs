@@ -17,66 +17,18 @@
 //! tenant_bench [--requests N] [--smoke]
 //! ```
 
-use ipe_bench::write_run_report_with_stats;
+use ipe_bench::{call, json, json_bool, json_str, json_u64, write_run_report_with_stats};
 use ipe_schema::fixtures;
 use ipe_service::{Client, Server, ServiceConfig};
-use serde::Value;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Args {
-    requests: usize,
-    smoke: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        requests: 600,
-        smoke: false,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .ok_or("--requests needs a value")?
-                    .parse()
-                    .map_err(|_| "--requests must be a number")?
-            }
-            "--smoke" => args.smoke = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if args.requests == 0 {
-        return Err("--requests must be >= 1".to_owned());
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.smoke {
-        smoke()
-    } else {
-        bench(args.requests)
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (smoke_mode, requests) =
+        ipe_bench::args(|a| Ok((a.switch("--smoke"), a.count("--requests", 600)?)));
+    ipe_bench::exit(if smoke_mode { smoke() } else { bench(requests) })
 }
 
 fn start_server() -> Result<Server, String> {
@@ -90,43 +42,11 @@ fn start_server() -> Result<Server, String> {
     .map_err(|e| format!("cannot start server: {e}"))
 }
 
-fn json_u64(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::U64(u)) => Ok(*u),
-        Some(Value::I64(i)) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
-fn json_bool(v: &Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
-fn json_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    match v.get(key) {
-        Some(Value::Str(s)) => Ok(s.as_str()),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
-fn put(client: &mut Client, path: &str, body: &str, want: u16) -> Result<String, String> {
-    let (status, resp) = client
-        .request("PUT", path, body)
-        .map_err(|e| e.to_string())?;
-    if status != want {
-        return Err(format!("PUT {path}: expected {want}, got {status}: {resp}"));
-    }
-    Ok(resp)
-}
-
 const COMPLETE_BODY: &str = "{\"schema\":\"bench\",\"query\":\"ta~name\"}";
 
 /// Runs `n` warm completions for `tenant` on one pooled connection,
-/// returning the sorted per-request latencies and the non-200 count.
-fn drive_quiet(addr: &str, tenant: &str, n: usize) -> Result<(Vec<Duration>, u64), String> {
+/// returning the p50 latency in microseconds and the non-200 count.
+fn drive_quiet(addr: &str, tenant: &str, n: usize) -> Result<(f64, u64), String> {
     let path = format!("/v1/t/{tenant}/complete");
     let mut client = Client::new(addr.to_owned());
     let mut lat = Vec::with_capacity(n);
@@ -136,17 +56,15 @@ fn drive_quiet(addr: &str, tenant: &str, n: usize) -> Result<(Vec<Duration>, u64
         let (status, _) = client
             .request("POST", &path, COMPLETE_BODY)
             .map_err(|e| e.to_string())?;
-        lat.push(started.elapsed());
+        lat.push(started.elapsed().as_secs_f64() * 1e6);
         if status != 200 {
             errors += 1;
         }
     }
-    lat.sort();
-    Ok((lat, errors))
-}
-
-fn p50(sorted: &[Duration]) -> Duration {
-    sorted[sorted.len() / 2]
+    Ok((
+        ipe_metrics::summarize(&lat).map_or(0.0, |s| s.median),
+        errors,
+    ))
 }
 
 fn bench(requests: usize) -> Result<(), String> {
@@ -157,25 +75,25 @@ fn bench(requests: usize) -> Result<(), String> {
 
     // Quiet gets default (unlimited) quotas; noisy is pinned at 200
     // admitted requests/second.
-    put(&mut c, "/v1/tenants/quiet", "{}", 201)?;
-    put(
+    call(&mut c, "PUT", "/v1/tenants/quiet", "{}", 201)?;
+    call(
         &mut c,
+        "PUT",
         "/v1/tenants/noisy",
         "{\"rate_per_sec\": 200.0, \"burst\": 20, \"max_concurrent\": 2}",
         201,
     )?;
     let uni = fixtures::university().to_json();
-    put(&mut c, "/v1/t/quiet/schemas/bench", &uni, 200)?;
-    put(&mut c, "/v1/t/noisy/schemas/bench", &uni, 200)?;
+    call(&mut c, "PUT", "/v1/t/quiet/schemas/bench", &uni, 200)?;
+    call(&mut c, "PUT", "/v1/t/noisy/schemas/bench", &uni, 200)?;
 
     // Warm both partitions, then measure the quiet tenant alone.
     drive_quiet(&addr, "quiet", 8)?;
     drive_quiet(&addr, "noisy", 8)?;
-    let (solo, solo_errors) = drive_quiet(&addr, "quiet", requests)?;
+    let (solo_p50, solo_errors) = drive_quiet(&addr, "quiet", requests)?;
     if solo_errors > 0 {
         return Err(format!("quiet tenant saw {solo_errors} solo errors"));
     }
-    let solo_p50 = p50(&solo);
 
     // Contended run: two noisy client threads hammer their own tenant
     // for the whole window. They back off 1ms per attempt, so they stay
@@ -201,7 +119,7 @@ fn bench(requests: usize) -> Result<(), String> {
                     429 => {
                         // Pin the envelope while we are here: every 429
                         // must carry the machine-readable retry hint.
-                        let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
+                        let v = json(&body)?;
                         if !json_bool(&v, "retryable")? || json_u64(&v, "retry_after_ms")? == 0 {
                             return Err(format!("bad throttle envelope: {body}"));
                         }
@@ -216,24 +134,19 @@ fn bench(requests: usize) -> Result<(), String> {
     }
     // Let the noisy tenant drain its burst allowance before measuring.
     std::thread::sleep(Duration::from_millis(200));
-    let (contended, quiet_throttled) = drive_quiet(&addr, "quiet", requests)?;
+    let (contended_p50, quiet_throttled) = drive_quiet(&addr, "quiet", requests)?;
     stop.store(true, Ordering::Relaxed);
     for t in noisy_threads {
         t.join().map_err(|_| "noisy thread panicked")??;
     }
-    let contended_p50 = p50(&contended);
     let noisy_ok = noisy_ok.load(Ordering::Relaxed);
     let noisy_throttled = noisy_throttled.load(Ordering::Relaxed);
-    let ratio = contended_p50.as_secs_f64() / solo_p50.as_secs_f64().max(1e-9);
+    let ratio = contended_p50 / solo_p50.max(1e-3);
 
     println!("tenant isolation ({requests} requests/tenant, {cpus} CPU(s)):");
+    println!("  quiet solo      p50: {solo_p50:>8.1}us");
     println!(
-        "  quiet solo      p50: {:>8.1}us",
-        solo_p50.as_secs_f64() * 1e6
-    );
-    println!(
-        "  quiet contended p50: {:>8.1}us ({ratio:.2}x solo, {quiet_throttled} throttled)",
-        contended_p50.as_secs_f64() * 1e6
+        "  quiet contended p50: {contended_p50:>8.1}us ({ratio:.2}x solo, {quiet_throttled} throttled)"
     );
     println!("  noisy: {noisy_ok} admitted, {noisy_throttled} throttled (pinned at quota)");
 
@@ -270,8 +183,8 @@ fn bench(requests: usize) -> Result<(), String> {
             ("isolation_ceiling", "2.0"),
         ],
         &[
-            ("quiet_solo_p50_us", solo_p50.as_micros() as u64),
-            ("quiet_contended_p50_us", contended_p50.as_micros() as u64),
+            ("quiet_solo_p50_us", solo_p50 as u64),
+            ("quiet_contended_p50_us", contended_p50 as u64),
             ("isolation_ratio_milli", (ratio * 1000.0) as u64),
             ("quiet_throttled", quiet_throttled),
             ("noisy_admitted", noisy_ok),
@@ -291,58 +204,35 @@ fn smoke() -> Result<(), String> {
 
     // CRUD: create is 201, reconfigure is 200, bad names are 400, and
     // `default` cannot be deleted.
-    put(&mut c, "/v1/tenants/acme", "{}", 201)?;
-    put(&mut c, "/v1/tenants/acme", "{\"cache_bytes\": 65536}", 200)?;
-    let (status, _) = c
-        .request("PUT", "/v1/tenants/Not%20Valid", "{}")
-        .map_err(|e| e.to_string())?;
-    if status != 400 {
-        return Err(format!("bad tenant name accepted: {status}"));
-    }
-    let (status, body) = c
-        .request("DELETE", "/v1/tenants/default", "")
-        .map_err(|e| e.to_string())?;
-    if status != 409 {
-        return Err(format!("default tenant deletable: {status}: {body}"));
-    }
+    call(&mut c, "PUT", "/v1/tenants/acme", "{}", 201)?;
+    call(
+        &mut c,
+        "PUT",
+        "/v1/tenants/acme",
+        "{\"cache_bytes\": 65536}",
+        200,
+    )?;
+    call(&mut c, "PUT", "/v1/tenants/Not%20Valid", "{}", 400)?;
+    call(&mut c, "DELETE", "/v1/tenants/default", "", 409)?;
 
     // Namespace isolation: the same schema name in two tenants is two
-    // schemas; the legacy unprefixed route is the `default` tenant.
-    put(&mut c, "/v1/t/acme/schemas/s", &uni, 200)?;
-    put(&mut c, "/v1/schemas/s", &uni, 200)?;
-    let (status, body) = c
-        .request("GET", "/v1/t/acme/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("tenant schema missing: {status}: {body}"));
-    }
-    let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-    if json_str(&v, "name")? != "s" {
+    // schemas; the legacy unprefixed route is the `default` tenant. A
+    // tenant-scoped GET must not leak the scoped name.
+    call(&mut c, "PUT", "/v1/t/acme/schemas/s", &uni, 200)?;
+    call(&mut c, "PUT", "/v1/schemas/s", &uni, 200)?;
+    let body = call(&mut c, "GET", "/v1/t/acme/schemas/s", "", 200)?;
+    if json_str(&json(&body)?, "name")? != "s" {
         return Err(format!("tenant-scoped GET leaked a scoped name: {body}"));
     }
-    let (status, _) = c
-        .request("GET", "/v1/t/nobody/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 404 {
-        return Err(format!("unknown tenant served: {status}"));
-    }
+    call(&mut c, "GET", "/v1/t/nobody/schemas/s", "", 404)?;
 
     // Admission: a nearly-zero refill rate admits `burst` requests and
     // then answers 429 with the unified retry envelope.
-    put(
-        &mut c,
-        "/v1/tenants/throttled",
-        "{\"rate_per_sec\": 0.001, \"burst\": 2}",
-        201,
-    )?;
-    put(&mut c, "/v1/t/throttled/schemas/s", &uni, 200)?;
+    let quota = "{\"rate_per_sec\": 0.001, \"burst\": 2}";
+    call(&mut c, "PUT", "/v1/tenants/throttled", quota, 201)?;
+    call(&mut c, "PUT", "/v1/t/throttled/schemas/s", &uni, 200)?;
     let complete_s = "{\"schema\":\"s\",\"query\":\"ta~name\"}";
-    let (status, _) = c
-        .request("POST", "/v1/t/throttled/complete", complete_s)
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("burst request refused: {status}"));
-    }
+    call(&mut c, "POST", "/v1/t/throttled/complete", complete_s, 200)?;
     let resp = c
         .request_with("POST", "/v1/t/throttled/complete", complete_s, &[])
         .map_err(|e| e.to_string())?;
@@ -352,7 +242,7 @@ fn smoke() -> Result<(), String> {
             resp.status, resp.body
         ));
     }
-    let v = serde_json::parse_value_text(&resp.body).map_err(|e| e.to_string())?;
+    let v = json(&resp.body)?;
     if !json_bool(&v, "retryable")?
         || json_u64(&v, "retry_after_ms")? == 0
         || json_str(&v, "tenant")? != "throttled"
@@ -366,28 +256,12 @@ fn smoke() -> Result<(), String> {
     // Delete purges the namespace: schema count reported, cache partition
     // dropped, and the tenant 404s afterwards — without touching the
     // other tenants' same-named schemas.
-    let (status, body) = c
-        .request("DELETE", "/v1/tenants/acme", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("tenant delete failed: {status}: {body}"));
-    }
-    let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-    if json_u64(&v, "purged_schemas")? != 1 {
+    let body = call(&mut c, "DELETE", "/v1/tenants/acme", "", 200)?;
+    if json_u64(&json(&body)?, "purged_schemas")? != 1 {
         return Err(format!("wrong purge count: {body}"));
     }
-    let (status, _) = c
-        .request("GET", "/v1/t/acme/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 404 {
-        return Err(format!("deleted tenant still serves: {status}"));
-    }
-    let (status, _) = c
-        .request("GET", "/v1/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err("tenant purge took the default tenant's schema with it".to_owned());
-    }
+    call(&mut c, "GET", "/v1/t/acme/schemas/s", "", 404)?;
+    call(&mut c, "GET", "/v1/schemas/s", "", 200)?;
 
     server.shutdown();
     println!("tenant smoke OK: CRUD, namespaces, 429 envelope, delete purge");

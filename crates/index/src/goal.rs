@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 pub(crate) const UNREACHED: u16 = u16::MAX;
 
 /// Goal-directed tables for one target relationship name.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct GoalTable {
     name: Symbol,
     /// Per class: connectors (as slot bits) of walks ending in a goal edge.
@@ -236,24 +236,6 @@ impl GoalTable {
     /// exactly the same edges as the schema's out-edge list.
     pub fn ordered_out(&self, v: ClassId) -> &[RelId] {
         &self.ordered_out[v.index()]
-    }
-
-    pub(crate) fn from_parts(
-        name: Symbol,
-        conn_mask: Vec<u16>,
-        semlen_by_first: Vec<[u16; 5]>,
-        ordered_out: Vec<Vec<RelId>>,
-    ) -> GoalTable {
-        GoalTable {
-            name,
-            conn_mask,
-            semlen_by_first,
-            ordered_out,
-        }
-    }
-
-    pub(crate) fn parts(&self) -> (&[u16], &[[u16; 5]], &[Vec<RelId>]) {
-        (&self.conn_mask, &self.semlen_by_first, &self.ordered_out)
     }
 }
 

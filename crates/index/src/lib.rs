@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 mod goal;
-mod serial;
 mod tables;
 
 pub use goal::GoalTable;
@@ -203,53 +202,9 @@ impl IndexedSchema {
         Some(goals.entry(name).or_insert(built).clone())
     }
 
-    /// The goal table for `name` if it is already built (never builds).
-    pub fn goal_if_built(&self, name: Symbol) -> Option<Arc<GoalTable>> {
-        self.goals
-            .read()
-            .expect("index poisoned")
-            .get(&name)
-            .cloned()
-    }
-
     /// Number of goal tables currently built.
     pub fn goal_count(&self) -> usize {
         self.goals.read().expect("index poisoned").len()
-    }
-
-    fn pair_parts(&self) -> (&[u16], &[u16]) {
-        (&self.pair_conn, &self.pair_semlen)
-    }
-
-    fn from_parts(
-        schema: &Schema,
-        pair_conn: Vec<u16>,
-        pair_semlen: Vec<u16>,
-        goals: HashMap<Symbol, Arc<GoalTable>>,
-    ) -> IndexedSchema {
-        IndexedSchema {
-            class_count: schema.class_count(),
-            rel_count: schema.rel_count(),
-            pair_conn,
-            pair_semlen,
-            name_sources: name_sources(schema),
-            goals: RwLock::new(goals),
-        }
-    }
-
-    /// Serializes the index (pair matrices plus every built goal table).
-    /// See `serial` for the format; validated on load by
-    /// [`from_bytes`](IndexedSchema::from_bytes).
-    pub fn to_bytes(&self, schema: &Schema) -> Vec<u8> {
-        serial::to_bytes(self, schema)
-    }
-
-    /// Deserializes an index previously written by
-    /// [`to_bytes`](IndexedSchema::to_bytes), validating it against
-    /// `schema`. Returns `None` on any framing, size, or name mismatch —
-    /// callers treat that as "rebuild", never as an error.
-    pub fn from_bytes(bytes: &[u8], schema: &Schema) -> Option<IndexedSchema> {
-        serial::from_bytes(bytes, schema)
     }
 }
 

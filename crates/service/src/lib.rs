@@ -23,8 +23,8 @@
 //!   [`ServiceConfig::data_dir`] set, registry mutations are
 //!   write-through to a checksummed WAL with periodic snapshots, startup
 //!   recovers the registry (ids and generations restored exactly, so
-//!   pre-crash cache keys never alias new entries), and a best-effort
-//!   warmup journal pre-warms the completion cache.
+//!   pre-crash cache keys never alias new entries) and rebuilds each
+//!   schema's index in the background; the completion cache starts cold.
 //!
 //! Start one from the CLI with `ipe serve --addr 127.0.0.1:7474
 //! [--data-dir DIR]`; see the workspace README's *Service* and
@@ -60,7 +60,7 @@ pub use data::{DataEntry, DataRegistry};
 pub use http::{Client, ClientResponse};
 pub use registry::{SchemaEntry, SchemaInfo, SchemaRegistry};
 pub use repl::FollowerStatus;
-pub use server::{metrics_prometheus, Server, ServiceConfig, ServiceState, WarmupTracker};
+pub use server::{metrics_prometheus, Server, ServiceConfig, ServiceState};
 
 // The durability knobs callers need to fill a `ServiceConfig`.
 pub use ipe_store::FsyncPolicy;

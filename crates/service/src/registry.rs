@@ -44,9 +44,9 @@ pub struct SchemaEntry {
     /// The immutable schema itself.
     pub schema: Arc<Schema>,
     /// The search index for exactly this `(id, generation)`, installed by
-    /// a background build (or a sidecar load) after the entry is already
-    /// serving. Empty while the build runs — readers fall back to
-    /// unindexed search, so a PUT never blocks on indexing.
+    /// a background build after the entry is already serving. Empty while
+    /// the build runs — readers fall back to unindexed search, so a PUT
+    /// never blocks on indexing.
     index: OnceLock<SearchIndex>,
 }
 
@@ -61,16 +61,14 @@ impl SchemaEntry {
         }
     }
 
-    /// The entry's search index, once a build (or sidecar load) finished.
+    /// The entry's search index, once its build finished.
     pub fn index(&self) -> Option<SearchIndex> {
         self.index.get().cloned()
     }
 
-    /// Installs a built index. First writer wins (a sidecar load and a
-    /// concurrent background build may race benignly); returns whether
-    /// this call installed it. Indexes that don't structurally match the
-    /// schema are refused — a stale sidecar must degrade to a rebuild,
-    /// never serve wrong bounds.
+    /// Installs a built index. First writer wins; returns whether this
+    /// call installed it. Indexes that don't structurally match the
+    /// schema are refused — a wrong index must never serve wrong bounds.
     pub fn set_index(&self, index: SearchIndex) -> bool {
         if !index.matches(&self.schema) {
             ipe_obs::counter!("service.index.mismatch_refused", 1);
@@ -243,7 +241,7 @@ mod tests {
         let right = Arc::new(IndexedSchema::build(&entry.schema, IndexMode::Off));
         assert!(entry.set_index(Arc::clone(&right)));
         assert!(entry.index().is_some());
-        // Second install (e.g. a racing sidecar load) is a no-op.
+        // A second install is a no-op.
         let again = Arc::new(IndexedSchema::build(&entry.schema, IndexMode::Off));
         assert!(!entry.set_index(again));
         // A hot-swap starts over with an un-indexed entry.

@@ -16,13 +16,13 @@
 //! the same `restore()` path crash recovery uses (so a replica is always
 //! in a state the leader could have restarted from), and reconnects with
 //! exponential backoff, resuming from the last durably applied sequence
-//! number. Index sidecars are rebuilt off the apply path by the ordinary
+//! number. Indexes are built off the apply path by the ordinary
 //! background build machinery.
 
 use crate::server::{lock_recover, spawn_index_build, ServiceState};
 use ipe_repl::{Backoff, ClientError, ReplClient, ReplEvent, SubEvent, REPL_MAGIC};
 use ipe_schema::Schema;
-use ipe_store::{remove_sidecar, Snapshot, WalOp, WalRecord};
+use ipe_store::{Snapshot, WalOp, WalRecord};
 use ipe_tenant::{scoped_name, split_scoped};
 use std::io::Write;
 use std::net::TcpStream;
@@ -499,16 +499,13 @@ fn ensure_tenant(state: &Arc<ServiceState>, tenant: &str) {
 }
 
 /// Removes every local trace of a schema the leader deleted: registry
-/// entry, cached completions, loaded data, and the index sidecar. Takes
-/// the scoped (`tenant/name`) registry key.
+/// entry, cached completions and loaded data. Takes the scoped
+/// (`tenant/name`) registry key.
 fn drop_schema_locally(state: &Arc<ServiceState>, key: &str) {
     if let Some(entry) = state.registry.remove(key) {
         state
             .caches
             .purge_schema(split_scoped(&entry.name).0, entry.id);
-        if let Some(dir) = &state.data_dir {
-            let _ = remove_sidecar(dir, entry.id);
-        }
     }
     state.data.remove(key);
 }

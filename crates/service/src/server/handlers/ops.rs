@@ -138,8 +138,8 @@ pub(in crate::server) fn debug_request(call: Call<'_>) -> Answer {
 
 /// `POST /v1/debug/panic` (only with
 /// [`ServiceConfig::debug_panic_route`](crate::ServiceConfig::debug_panic_route),
-/// otherwise no such endpoint): panics while holding the store, warmup,
-/// and builder locks — the exact failure mode that used to cascade
+/// otherwise no such endpoint): panics while holding the store and
+/// builder locks — the exact failure mode that used to cascade
 /// through `.expect("store poisoned")` and kill every later request. The
 /// e2e poison-recovery test drives this route and then proves the server
 /// still serves durable writes.
@@ -149,7 +149,6 @@ pub(in crate::server) fn debug_panic(call: Call<'_>) -> Answer {
         return Err(Reply::error(404, "no such endpoint"));
     }
     let _store = state.store.as_ref().map(|m| lock_recover(m, "store"));
-    let _warmup = state.warmup.as_ref().map(|w| w.inner.lock());
     let _builders = lock_recover(&state.index_builders, "index builders");
     panic!("injected panic (debug_panic_route)");
 }

@@ -5,7 +5,7 @@ use crate::registry::SchemaInfo;
 use crate::server::routes::{Answer, Call, Reply};
 use crate::server::state::{lock_recover, spawn_index_build};
 use ipe_schema::Schema;
-use ipe_store::{remove_sidecar, WalOp, WalRecord};
+use ipe_store::{WalOp, WalRecord};
 use ipe_tenant::{scoped_name, split_scoped};
 use std::sync::Arc;
 
@@ -79,8 +79,8 @@ pub(in crate::server) fn put(call: Call<'_>) -> Answer {
     Ok(Reply::serialized(200, &response))
 }
 
-/// `DELETE /v1/schemas/:name`: removes the schema, its cached results,
-/// its loaded data and its index sidecar, and logs the delete.
+/// `DELETE /v1/schemas/:name`: removes the schema, its cached results
+/// and its loaded data, and logs the delete.
 pub(in crate::server) fn delete(call: Call<'_>) -> Answer {
     let (state, tenant) = (call.state, call.tenant);
     let name = call.segment()?;
@@ -96,17 +96,13 @@ pub(in crate::server) fn delete(call: Call<'_>) -> Answer {
     // against a stale instance under a colliding name.
     let purged = state.caches.purge_schema(tenant.name(), entry.id);
     let purged_data = state.data.remove(&key_name).is_some();
-    // The id will never be reissued, so its sidecar is dead weight.
-    if let Some(dir) = &state.data_dir {
-        let _ = remove_sidecar(dir, entry.id);
-    }
     if let Some(mut store) = store_guard {
         match store.append_delete(tenant.name(), name) {
-            Ok(appended) => {
+            Ok(seq) => {
                 // Published under the store mutex, as in `register_schema`.
                 if let Some(hub) = &state.repl_hub {
                     hub.publish(&WalRecord {
-                        seq: appended.seq,
+                        seq,
                         op: WalOp::Delete {
                             tenant: tenant.name().to_owned(),
                             name: name.to_owned(),

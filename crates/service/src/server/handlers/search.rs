@@ -205,9 +205,6 @@ pub(in crate::server) fn complete(call: Call<'_>) -> Answer {
     let (outcome, cached) = cached_search(state, &entry, &cache, key, &ast, cfg, None, obs)
         .map_err(|e| Reply::error(422, &e.to_string()))?;
     obs.cache_hit = Some(cached);
-    if let Some(warmup) = &state.warmup {
-        warmup.record(&entry.name, &normalized);
-    }
     let response = CompleteResponse {
         schema: split_scoped(&entry.name).1.to_owned(),
         generation: entry.generation,

@@ -3,7 +3,7 @@
 
 use crate::server::routes::{Answer, Call, Reply};
 use crate::server::state::lock_recover;
-use ipe_store::{remove_sidecar, WalOp, WalRecord};
+use ipe_store::{WalOp, WalRecord};
 use ipe_tenant::{split_scoped, Tenant, TenantConfig, TenantError};
 use std::sync::Arc;
 
@@ -104,15 +104,14 @@ struct TenantDeleteResponse {
     purged_data: u64,
     purged_cache_entries: u64,
     purged_cache_bytes: u64,
-    purged_sidecars: u64,
 }
 
 /// `DELETE /v1/tenants/:tenant`: removes the namespace and purges
 /// everything it owned — registry entries (each with a WAL delete, so
-/// followers converge), loaded data instances, index sidecars, and the
-/// whole cache partition. The store lock is held across the sweep so a
-/// racing PUT serializes against the purge instead of interleaving with
-/// it. `default` is immortal (`409`).
+/// followers converge), loaded data instances, and the whole cache
+/// partition. The store lock is held across the sweep so a racing PUT
+/// serializes against the purge instead of interleaving with it.
+/// `default` is immortal (`409`).
 pub(in crate::server) fn delete(call: Call<'_>) -> Answer {
     let state = call.state;
     let name = call.segment()?;
@@ -128,30 +127,24 @@ pub(in crate::server) fn delete(call: Call<'_>) -> Answer {
         .collect();
     let mut purged_schemas = 0u64;
     let mut purged_data = 0u64;
-    let mut purged_sidecars = 0u64;
     let mut append_err: Option<String> = None;
     {
         let mut store_guard = state.store.as_ref().map(|m| lock_recover(m, "store"));
         for key in &owned {
-            let Some(entry) = state.registry.remove(key) else {
+            if state.registry.remove(key).is_none() {
                 continue;
-            };
+            }
             purged_schemas += 1;
             if state.data.remove(key).is_some() {
                 purged_data += 1;
             }
-            if let Some(dir) = &state.data_dir {
-                if remove_sidecar(dir, entry.id).is_ok() {
-                    purged_sidecars += 1;
-                }
-            }
             if let Some(store) = store_guard.as_mut() {
                 let bare = split_scoped(key).1;
                 match store.append_delete(name, bare) {
-                    Ok(appended) => {
+                    Ok(seq) => {
                         if let Some(hub) = &state.repl_hub {
                             hub.publish(&WalRecord {
-                                seq: appended.seq,
+                                seq,
                                 op: WalOp::Delete {
                                     tenant: name.to_owned(),
                                     name: bare.to_owned(),
@@ -180,7 +173,6 @@ pub(in crate::server) fn delete(call: Call<'_>) -> Answer {
         purged_data,
         purged_cache_entries,
         purged_cache_bytes,
-        purged_sidecars,
     };
     Ok(Reply::serialized(200, &response))
 }

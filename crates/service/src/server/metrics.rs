@@ -28,7 +28,6 @@ impl ServiceState {
                 mode: self.index_mode.as_str().to_owned(),
                 builds_completed: self.index_builds_completed.load(Ordering::SeqCst),
                 builds_in_flight: self.index_builds_in_flight.load(Ordering::SeqCst),
-                sidecar_loads: self.index_sidecar_loads.load(Ordering::SeqCst),
                 completes_indexed: self.completes_indexed.load(Ordering::Relaxed),
                 completes_unindexed: self.completes_unindexed.load(Ordering::Relaxed),
             },
@@ -166,7 +165,6 @@ struct IndexMetrics {
     mode: String,
     builds_completed: u64,
     builds_in_flight: u64,
-    sidecar_loads: u64,
     completes_indexed: u64,
     completes_unindexed: u64,
 }

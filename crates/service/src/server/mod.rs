@@ -36,19 +36,14 @@ mod state;
 pub use metrics::{metrics_json, metrics_prometheus};
 pub(crate) use routes::handle_request_catching;
 pub(crate) use state::{lock_recover, spawn_index_build};
-pub use state::{ServiceConfig, ServiceState, WarmupTracker, TENANTS_FILE};
+pub use state::{ServiceConfig, ServiceState, TENANTS_FILE};
 
-use crate::cache::{config_fingerprint, entry_weight, CacheKey};
 use crate::epoll::Wake;
 use crate::reactor::{reactor_loop, ReactorConfig};
-use ipe_core::{complete_batch, BatchOptions, Completer, CompletionConfig};
-use ipe_index::{IndexMode, IndexedSchema};
-use ipe_obs::SpanHandle;
-use ipe_parser::parse_path_expression;
 use ipe_schema::Schema;
-use ipe_store::{read_sidecar, read_warmup, sidecar_path, Store, StoreConfig, WarmupEntry};
-use ipe_tenant::{scoped_name, split_scoped, TenantConfig, DEFAULT_TENANT};
-use state::{reactor_count, WARMUP_REPLAY_DEADLINE};
+use ipe_store::{Store, StoreConfig};
+use ipe_tenant::{scoped_name, TenantConfig, DEFAULT_TENANT};
+use state::reactor_count;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::Ordering;
@@ -67,10 +62,11 @@ pub struct Server {
 impl Server {
     /// Binds one `SO_REUSEPORT` listener shard per reactor on
     /// `config.addr`, recovers the durable store (when `data_dir` is set)
-    /// into the registry, replays the warmup journal against the engine,
-    /// and spawns the reactors. Returns once the sockets are listening
-    /// and recovery is complete — a server that starts serving is never
-    /// partially recovered.
+    /// into the registry, and spawns the reactors. Returns once the
+    /// sockets are listening and recovery is complete — a server that
+    /// starts serving is never partially recovered. Derived state is not
+    /// persisted: each recovered schema gets its index from the ordinary
+    /// background build, and the completion cache starts cold.
     pub fn start(config: ServiceConfig) -> io::Result<Server> {
         let reactors = reactor_count(config.reactors);
         let requested =
@@ -86,8 +82,8 @@ impl Server {
         for _ in 1..reactors {
             listeners.push(crate::epoll::bind_reuseport(addr)?);
         }
-        let recovered = match &config.data_dir {
-            None => None,
+        let (store, recovery) = match &config.data_dir {
+            None => (None, None),
             Some(dir) => {
                 let store_config = StoreConfig {
                     dir: dir.clone(),
@@ -96,12 +92,8 @@ impl Server {
                 };
                 let (store, recovery) =
                     Store::open(&store_config).map_err(|e| io::Error::other(e.to_string()))?;
-                Some((store, recovery))
+                (Some(store), Some(recovery))
             }
-        };
-        let (store, recovery) = match recovered {
-            Some((store, recovery)) => (Some(store), Some(recovery)),
-            None => (None, None),
         };
         let state = Arc::new(ServiceState::new(&config, store));
         // Tenant configs load before schema recovery so each recovered
@@ -117,7 +109,7 @@ impl Server {
                 })?;
                 // Registry keys are tenant-scoped; a record whose tenant
                 // no longer exists in tenants.json still recovers (the
-                // WAL is authoritative for data, the sidecar only for
+                // WAL is authoritative for data, tenants.json only for
                 // quotas) under default quotas.
                 if record.tenant != DEFAULT_TENANT && state.tenants.get(&record.tenant).is_none() {
                     let _ = state.tenants.put(&record.tenant, TenantConfig::default());
@@ -126,23 +118,7 @@ impl Server {
                 let entry = state
                     .registry
                     .restore(&key, record.id, record.generation, schema);
-                // Prefer the persisted index sidecar; any mismatch
-                // (missing, corrupt, stale generation) silently falls back
-                // to a fresh background build.
-                if state.index_mode != IndexMode::Off {
-                    let loaded = config.data_dir.as_ref().and_then(|dir| {
-                        let path = sidecar_path(dir, record.id);
-                        let bytes = read_sidecar(&path, record.id, record.generation)?;
-                        IndexedSchema::from_bytes(&bytes, &entry.schema).map(Arc::new)
-                    });
-                    let installed = loaded.map(|index| entry.set_index(index)).unwrap_or(false);
-                    if installed {
-                        state.index_sidecar_loads.fetch_add(1, Ordering::SeqCst);
-                        ipe_obs::counter!("service.index.sidecar_loads", 1);
-                    } else {
-                        spawn_index_build(&state, entry);
-                    }
-                }
+                spawn_index_build(&state, entry);
             }
             state.registry.reserve_ids(recovery.max_id);
             if let Some(follower) = &state.follower {
@@ -156,15 +132,6 @@ impl Server {
                     "ipe-service: WAL tail was torn; recovered through seq {}",
                     recovery.last_seq
                 );
-            }
-            if state.warmup.is_some() {
-                let path = {
-                    let store = state.store.as_ref().expect("recovery implies a store");
-                    lock_recover(store, "store").warmup_path()
-                };
-                let entries = read_warmup(&path);
-                let warmed = warm_cache(&state, &entries, config.warmup_top_k);
-                ipe_obs::counter!("store.warmup.replayed", warmed);
             }
         }
         state
@@ -284,8 +251,8 @@ impl Server {
         for h in repl {
             let _ = h.join();
         }
-        // Let in-flight index builds finish so their sidecar writes land
-        // before the shutdown snapshot.
+        // Let in-flight index builds finish so no build thread outlives
+        // the server.
         let builders: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_recover(
             &self.state.index_builders,
             "index builders",
@@ -294,73 +261,11 @@ impl Server {
             let _ = h.join();
         }
         // Clean shutdown: compact once so the next boot replays a
-        // snapshot instead of the whole WAL, and persist the hot keys.
-        self.state.flush_warmup();
+        // snapshot instead of the whole WAL.
         if let Some(store) = &self.state.store {
             if let Err(e) = lock_recover(store, "store").snapshot_now() {
                 eprintln!("ipe-service: shutdown snapshot failed: {e}");
             }
         }
     }
-}
-
-/// Replays up to `top_k` warmup journal entries against the engine,
-/// inserting the results under the default-config cache key (the key
-/// steady-state interactive traffic hits). Entries for unknown schemas or
-/// unparsable queries are skipped; each query gets a short deadline so a
-/// pathological journal cannot stall startup. Returns how many entries
-/// were warmed.
-fn warm_cache(state: &Arc<ServiceState>, entries: &[WarmupEntry], top_k: usize) -> u64 {
-    // Group by schema so each registry entry is resolved once.
-    let mut by_schema: Vec<(&str, Vec<&WarmupEntry>)> = Vec::new();
-    for entry in entries.iter().take(top_k) {
-        match by_schema.iter_mut().find(|(name, _)| *name == entry.schema) {
-            Some((_, group)) => group.push(entry),
-            None => by_schema.push((&entry.schema, vec![entry])),
-        }
-    }
-    let cfg = CompletionConfig::default();
-    let fingerprint = config_fingerprint(&cfg);
-    let mut warmed = 0u64;
-    for (schema_name, group) in by_schema {
-        let Some(entry) = state.registry.get(schema_name) else {
-            continue;
-        };
-        let mut keys = Vec::new();
-        let mut asts = Vec::new();
-        for w in group {
-            let Ok(ast) = parse_path_expression(&w.query) else {
-                continue;
-            };
-            keys.push(CacheKey {
-                schema_id: entry.id,
-                generation: entry.generation,
-                query: ast.to_string(),
-                fingerprint,
-            });
-            asts.push(ast);
-        }
-        if asts.is_empty() {
-            continue;
-        }
-        let engine = Completer::with_config(&entry.schema, cfg.clone());
-        let opts = BatchOptions {
-            threads: 2,
-            deadline: Some(WARMUP_REPLAY_DEADLINE),
-            cancel: None,
-            span: SpanHandle::none(),
-        };
-        // Journal keys are the scoped registry names, so each entry warms
-        // the partition of the tenant that owns it.
-        let cache = state.caches.partition(split_scoped(schema_name).0);
-        for item in complete_batch(&engine, &asts, &opts) {
-            if let Ok(outcome) = item.result {
-                let key = keys[item.index].clone();
-                let weight = entry_weight(&key, &outcome);
-                cache.insert_weighted(key, Arc::new(outcome), weight);
-                warmed += 1;
-            }
-        }
-    }
-    warmed
 }

@@ -11,24 +11,22 @@ use ipe_index::{IndexMode, IndexedSchema};
 use ipe_obs::{FlightConfig, FlightRecorder};
 use ipe_repl::ReplHub;
 use ipe_schema::Schema;
-use ipe_store::{
-    sidecar_path, write_sidecar, write_warmup, FsyncPolicy, Store, WalOp, WalRecord, WarmupEntry,
-};
+use ipe_store::{FsyncPolicy, Store, WalOp, WalRecord};
 use ipe_tenant::{scoped_name, TenantConfig, TenantRegistry, DEFAULT_TENANT};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Locks a mutex, recovering from poisoning by taking the inner value.
 ///
 /// Safe for every mutex in this crate: they guard append-ordered or
-/// idempotent state (the WAL store serializes appends, the warmup tracker
-/// holds advisory counters, the builder list holds join handles), so a
-/// panic mid-critical-section cannot leave a torn logical update behind.
+/// idempotent state (the WAL store serializes appends, the builder list
+/// holds join handles), so a panic mid-critical-section cannot leave a
+/// torn logical update behind.
 /// Before this existed, one panicking worker poisoned the store mutex and
 /// every later durable request died on `.expect("store poisoned")`.
 pub(crate) fn lock_recover<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
@@ -76,9 +74,6 @@ pub struct ServiceConfig {
     /// WAL appends between snapshot compactions (0 = snapshot only on
     /// clean shutdown).
     pub snapshot_every: u64,
-    /// How many hot cache keys the warmup journal keeps (0 disables
-    /// warmup tracking and replay).
-    pub warmup_top_k: usize,
     /// Search-index policy. `On` builds every schema's index (all goal
     /// tables eagerly) in the background after a PUT and at recovery;
     /// `Lazy` builds the closure matrices in the background but grows
@@ -142,7 +137,6 @@ impl Default for ServiceConfig {
             data_dir: None,
             fsync: FsyncPolicy::Always,
             snapshot_every: 256,
-            warmup_top_k: 64,
             index_mode: IndexMode::On,
             index_build_delay_ms: 0,
             trace_sample_n: 1,
@@ -169,67 +163,8 @@ pub(super) fn reactor_count(configured: usize) -> usize {
         .unwrap_or(4)
 }
 
-/// Tenant-config sidecar file name inside the data directory.
+/// Tenant-config file name inside the data directory.
 pub const TENANTS_FILE: &str = "tenants.json";
-
-/// Cap on distinct keys the warmup tracker counts; hotter keys win, new
-/// keys arriving at capacity are dropped (sampling, not precision).
-const WARMUP_TRACK_CAP: usize = 4096;
-/// Per-query deadline when replaying the warmup journal at startup, so a
-/// pathological journal cannot stall boot.
-pub(super) const WARMUP_REPLAY_DEADLINE: Duration = Duration::from_secs(2);
-
-/// Best-effort frequency counter over `(schema name, normalized query)`
-/// pairs, feeding the warmup journal. Recording uses `try_lock`: under
-/// contention a sample is simply dropped — warmth is advisory.
-pub struct WarmupTracker {
-    pub(super) inner: Mutex<HashMap<(String, String), u64>>,
-}
-
-impl WarmupTracker {
-    fn new() -> WarmupTracker {
-        WarmupTracker {
-            inner: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Counts one lookup of `query` against `schema` (sampled).
-    pub fn record(&self, schema: &str, query: &str) {
-        // `try_lock` must distinguish contention (drop the sample) from
-        // poisoning (recover the map): treating both as "skip" would turn
-        // one panic into a permanently frozen warmup journal.
-        let mut map = match self.inner.try_lock() {
-            Ok(map) => map,
-            Err(TryLockError::Poisoned(poisoned)) => {
-                ipe_obs::counter!("service.lock.poison_recovered", 1);
-                poisoned.into_inner()
-            }
-            Err(TryLockError::WouldBlock) => return,
-        };
-        let key = (schema.to_owned(), query.to_owned());
-        if let Some(n) = map.get_mut(&key) {
-            *n += 1;
-        } else if map.len() < WARMUP_TRACK_CAP {
-            map.insert(key, 1);
-        }
-    }
-
-    /// The hottest `k` keys, descending.
-    pub fn top_k(&self, k: usize) -> Vec<WarmupEntry> {
-        let map = lock_recover(&self.inner, "warmup tracker");
-        let mut entries: Vec<WarmupEntry> = map
-            .iter()
-            .map(|((schema, query), hits)| WarmupEntry {
-                schema: schema.clone(),
-                query: query.clone(),
-                hits: *hits,
-            })
-            .collect();
-        entries.sort_by(|a, b| b.hits.cmp(&a.hits).then_with(|| a.query.cmp(&b.query)));
-        entries.truncate(k);
-        entries
-    }
-}
 
 /// Upper bound on a requested batch thread count.
 pub(super) const MAX_BATCH_THREADS: u64 = 16;
@@ -265,9 +200,6 @@ pub struct ServiceState {
     /// Live replication threads (the follower apply loop, leader stream
     /// writers), joined on shutdown.
     pub(crate) repl_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Hot-key tracker feeding the warmup journal (only with a store).
-    pub(super) warmup: Option<WarmupTracker>,
-    warmup_top_k: usize,
     /// Reactor threads actually running (the `workers` metrics gauge
     /// keeps its wire name across the rearchitecture).
     pub(super) workers: AtomicU64,
@@ -285,15 +217,14 @@ pub struct ServiceState {
     /// Index policy (see [`ServiceConfig::index_mode`]).
     pub(super) index_mode: IndexMode,
     index_build_delay_ms: u64,
-    /// Sidecar directory; `Some` iff the server is durable.
-    pub(crate) data_dir: Option<PathBuf>,
+    /// Data directory (holds `tenants.json`); `Some` iff the server is
+    /// durable.
+    data_dir: Option<PathBuf>,
     pub(super) index_builds_completed: AtomicU64,
     pub(super) index_builds_in_flight: AtomicU64,
-    pub(super) index_sidecar_loads: AtomicU64,
     pub(super) completes_indexed: AtomicU64,
     pub(super) completes_unindexed: AtomicU64,
-    /// Live background index-build threads, joined on shutdown so a
-    /// build's sidecar write never races the final snapshot.
+    /// Live background index-build threads, joined on shutdown.
     pub(super) index_builders: Mutex<Vec<JoinHandle<()>>>,
     /// The flight recorder of completed request traces (see
     /// `GET /v1/debug/requests`).
@@ -306,7 +237,6 @@ pub struct ServiceState {
 }
 impl ServiceState {
     pub(super) fn new(config: &ServiceConfig, store: Option<Store>) -> ServiceState {
-        let track_warmup = store.is_some() && config.warmup_top_k > 0;
         // Only a durable non-follower can lead: the stream protocol
         // resumes from the on-disk WAL, and a follower republishing the
         // leader's records would invert the topology.
@@ -331,8 +261,6 @@ impl ServiceState {
                 .map(|leader| Arc::new(FollowerStatus::new(leader))),
             repl_streams_active: AtomicU64::new(0),
             repl_threads: Mutex::new(Vec::new()),
-            warmup: track_warmup.then(WarmupTracker::new),
-            warmup_top_k: config.warmup_top_k,
             workers: AtomicU64::new(reactor_count(config.reactors) as u64),
             batch_threads: config.batch_threads.clamp(1, MAX_BATCH_THREADS as usize),
             live_conns: AtomicU64::new(0),
@@ -346,7 +274,6 @@ impl ServiceState {
             data_dir: config.data_dir.clone(),
             index_builds_completed: AtomicU64::new(0),
             index_builds_in_flight: AtomicU64::new(0),
-            index_sidecar_loads: AtomicU64::new(0),
             completes_indexed: AtomicU64::new(0),
             completes_unindexed: AtomicU64::new(0),
             index_builders: Mutex::new(Vec::new()),
@@ -385,19 +312,6 @@ impl ServiceState {
         self.store.is_some()
     }
 
-    /// Writes the warmup journal from the tracker's current top-K.
-    /// Best-effort: failures are counted, never propagated.
-    pub(super) fn flush_warmup(&self) {
-        let (Some(store), Some(warmup)) = (&self.store, &self.warmup) else {
-            return;
-        };
-        let entries = warmup.top_k(self.warmup_top_k);
-        let path = lock_recover(store, "store").warmup_path();
-        if write_warmup(&path, &entries).is_err() {
-            ipe_obs::counter!("store.warmup.write_failed", 1);
-        }
-    }
-
     /// Inserts (or hot-swaps) a schema under the `default` tenant. See
     /// [`ServiceState::register_schema_for`].
     pub fn register_schema(
@@ -431,14 +345,14 @@ impl ServiceState {
         let entry = self.registry.insert(&key, schema);
         if let Some(mut store) = store_guard {
             match store.append_put(tenant, name, entry.id, entry.generation, json) {
-                Ok(appended) => {
+                Ok(seq) => {
                     // Published while still holding the store mutex, so
                     // followers observe records in exact WAL order and a
                     // concurrent stream handshake (which subscribes under
                     // this same mutex) can neither miss nor duplicate it.
                     if let Some(hub) = &self.repl_hub {
                         hub.publish(&WalRecord {
-                            seq: appended.seq,
+                            seq,
                             op: WalOp::Put {
                                 tenant: tenant.to_owned(),
                                 name: name.to_owned(),
@@ -447,10 +361,6 @@ impl ServiceState {
                                 schema_json: json.to_owned(),
                             },
                         });
-                    }
-                    drop(store);
-                    if appended.snapshotted {
-                        self.flush_warmup();
                     }
                 }
                 Err(e) => {
@@ -462,7 +372,7 @@ impl ServiceState {
         Ok(entry)
     }
 
-    /// Path of the tenant-config sidecar inside the data directory.
+    /// Path of the tenant-config file inside the data directory.
     fn tenants_path(&self) -> Option<PathBuf> {
         self.data_dir.as_ref().map(|dir| dir.join(TENANTS_FILE))
     }
@@ -548,10 +458,9 @@ impl ServiceState {
     }
 }
 
-/// Spawns a background thread that builds `entry`'s search index, installs
-/// it on the entry, and persists it as a store sidecar. Requests arriving
-/// while the build runs are served unindexed. A no-op with
-/// [`IndexMode::Off`].
+/// Spawns a background thread that builds `entry`'s search index and
+/// installs it on the entry. Requests arriving while the build runs are
+/// served unindexed. A no-op with [`IndexMode::Off`].
 pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::SchemaEntry>) {
     if state.index_mode == IndexMode::Off {
         return;
@@ -568,10 +477,9 @@ pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::Sch
                 let _t = ipe_obs::timer!("service.index.build");
                 Arc::new(IndexedSchema::build(&entry.schema, st.index_mode))
             };
-            if entry.set_index(Arc::clone(&index)) {
+            if entry.set_index(index) {
                 st.index_builds_completed.fetch_add(1, Ordering::SeqCst);
                 ipe_obs::counter!("service.index.builds", 1);
-                persist_index_sidecar(&st, &entry, &index);
             }
             st.index_builds_in_flight.fetch_sub(1, Ordering::SeqCst);
         });
@@ -583,37 +491,5 @@ pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::Sch
             ipe_obs::counter!("service.index.spawn_failed", 1);
             eprintln!("ipe-service: failed to spawn index build: {e}");
         }
-    }
-}
-
-/// Writes a built index as a sidecar next to the WAL — unless the entry
-/// was hot-swapped while the build ran: the sidecar slot must only ever
-/// hold the registry's *current* generation, because a restart validates
-/// it against exactly that generation.
-fn persist_index_sidecar(
-    state: &Arc<ServiceState>,
-    entry: &crate::SchemaEntry,
-    index: &IndexedSchema,
-) {
-    let Some(dir) = &state.data_dir else {
-        return;
-    };
-    let still_current = state
-        .registry
-        .get(&entry.name)
-        .is_some_and(|c| c.id == entry.id && c.generation == entry.generation);
-    if !still_current {
-        return;
-    }
-    let payload = index.to_bytes(&entry.schema);
-    if write_sidecar(
-        &sidecar_path(dir, entry.id),
-        entry.id,
-        entry.generation,
-        &payload,
-    )
-    .is_err()
-    {
-        ipe_obs::counter!("store.sidecar.write_failed", 1);
     }
 }

@@ -1,9 +1,8 @@
 //! End-to-end tests of the service's background index builds: completes
 //! issued during the build window succeed unindexed, post-build requests
-//! report index hits in `/metrics`, and index sidecars are loaded on
-//! restart only when they match the schema's exact id and generation —
-//! stale or corrupt sidecars trigger a rebuild, never an error and never
-//! wrong bounds.
+//! report index hits in `/metrics`, and a restart rebuilds every
+//! recovered schema's index from the WAL and snapshot alone — files an
+//! older build left in the data directory are ignored.
 
 use ipe_schema::fixtures;
 use ipe_service::{Client, FsyncPolicy, Server, ServiceConfig};
@@ -132,38 +131,117 @@ fn completes_succeed_during_build_window_then_hit_the_index() {
     server.shutdown();
 }
 
-/// A sidecar written on one run is loaded on the next (skipping the
-/// rebuild), while a tampered or stale sidecar silently degrades to a
-/// fresh background build with identical results.
-#[test]
-fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
-    let dir = tmp_dir("sidecar");
-    let uni = fixtures::university().to_json();
+/// A completion response with the per-request fields (`cached`,
+/// `duration_ns`) removed, so answers from two runs compare equal.
+fn answer(client: &mut Client, query: &str) -> Value {
+    let body = format!(r#"{{"schema": "uni", "query": "{query}"}}"#);
+    let (status, text) = client.request("POST", "/v1/complete", &body).unwrap();
+    assert_eq!(status, 200, "{text}");
+    match serde_json::parse_value_text(&text).unwrap() {
+        Value::Map(fields) => Value::Map(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "cached" && k != "duration_ns")
+                .collect(),
+        ),
+        other => panic!("expected an object, got {other:?}"),
+    }
+}
 
-    // Run A: PUT, wait for the build, shutdown (joins the builder so the
-    // sidecar write lands before exit).
-    let schema_id;
-    {
+const QUERIES: [&str; 2] = ["ta~name", "department~take"];
+
+/// A restart persists nothing derived: the recovered schema's index comes
+/// from a fresh background build, completions after the restart are
+/// indexed again, and they match the answers from before the restart.
+#[test]
+fn restart_rebuilds_the_index_and_answers_identically() {
+    let dir = tmp_dir("restart");
+    let uni = fixtures::university().to_json();
+    let before: Vec<Value> = {
         let (server, mut client) = server_with(Some(&dir), 0);
         let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
         assert_eq!(status, 200, "{body}");
-        let v = serde_json::parse_value_text(&body).unwrap();
-        schema_id = as_u64(&get(&v, "id"));
         wait_for_index(&mut client, "initial build", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
+            as_u64(&get(m, "builds_completed")) == 1
         });
+        let answers = QUERIES.iter().map(|q| answer(&mut client, q)).collect();
         server.shutdown();
-    }
-    let sidecar = ipe_store::sidecar_path(&dir, schema_id);
-    assert!(sidecar.exists(), "build should have persisted a sidecar");
+        answers
+    };
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        files.iter().all(|f| f == "wal.log" || f == "snapshot.bin"),
+        "only the WAL and the snapshot are written: {files:?}"
+    );
 
-    // Run B: restart loads the sidecar instead of rebuilding, and an
-    // uncached complete is indexed from the first request.
+    let (server, mut client) = server_with(Some(&dir), 0);
+    let m = wait_for_index(&mut client, "rebuild after restart", |m| {
+        as_u64(&get(m, "builds_completed")) == 1
+    });
+    let keys: Vec<&str> = match &m {
+        Value::Map(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected an object, got {other:?}"),
+    };
+    assert_eq!(
+        keys,
+        [
+            "mode",
+            "builds_completed",
+            "builds_in_flight",
+            "completes_indexed",
+            "completes_unindexed"
+        ],
+        "no gauge reports persisted index loads"
+    );
+    let indexed = as_u64(&get(&m, "completes_indexed"));
+    for (query, expected) in QUERIES.iter().zip(&before) {
+        assert_eq!(&answer(&mut client, query), expected, "{query}");
+    }
+    let m = index_metrics(&mut client);
+    assert_eq!(
+        as_u64(&get(&m, "completes_indexed")),
+        indexed + QUERIES.len() as u64,
+        "post-restart misses must run indexed: {m:?}"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A data directory written by an older build still holds a warmup
+/// journal and an index file beside the WAL. Boot ignores both: the
+/// server starts, serves the recorded generation, and builds its own
+/// index.
+#[test]
+fn leftover_index_and_warmup_files_are_ignored() {
+    let dir = tmp_dir("leftover");
+    let uni = fixtures::university().to_json();
     {
         let (server, mut client) = server_with(Some(&dir), 0);
-        let m = index_metrics(&mut client);
-        assert_eq!(as_u64(&get(&m, "sidecar_loads")), 1, "{m:?}");
-        assert_eq!(as_u64(&get(&m, "builds_completed")), 0, "{m:?}");
+        for _ in 0..2 {
+            let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
+            assert_eq!(status, 200, "{body}");
+        }
+        server.shutdown();
+    }
+    // The journal's `hits \t schema \t query` lines name the query the
+    // first request below repeats; the index file is garbage.
+    std::fs::write(dir.join("warmup.tsv"), "9\tuni\tta ~ name\n").unwrap();
+    std::fs::write(dir.join("index-1.idx"), b"\xffnot an index at all").unwrap();
+
+    let (server, mut client) = server_with(Some(&dir), 0);
+    let (status, body) = client.request("GET", "/v1/schemas/uni", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let v = serde_json::parse_value_text(&body).unwrap();
+    assert_eq!(as_u64(&get(&v, "id")), 1, "{body}");
+    assert_eq!(as_u64(&get(&v, "generation")), 2, "{body}");
+    wait_for_index(&mut client, "build despite the leftover files", |m| {
+        as_u64(&get(m, "builds_completed")) == 1
+    });
+    // The journal named this query, but the cache starts cold.
+    for cached in [false, true] {
         let (status, body) = client
             .request(
                 "POST",
@@ -172,62 +250,10 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
             )
             .unwrap();
         assert_eq!(status, 200, "{body}");
-        let m = index_metrics(&mut client);
-        assert!(as_u64(&get(&m, "completes_indexed")) >= 1, "{m:?}");
-        server.shutdown();
+        let v = serde_json::parse_value_text(&body).unwrap();
+        assert_eq!(as_u64(&get(&v, "generation")), 2, "{body}");
+        assert_eq!(get(&v, "cached"), Value::Bool(cached), "{body}");
     }
-
-    // Run C: a sidecar tagged with a *different generation* (as if left
-    // behind by an older schema version) must not be loaded against the
-    // current one — rebuild instead.
-    ipe_store::write_sidecar(&sidecar, schema_id, 999, b"whatever").unwrap();
-    {
-        let (server, mut client) = server_with(Some(&dir), 0);
-        let m = index_metrics(&mut client);
-        assert_eq!(
-            as_u64(&get(&m, "sidecar_loads")),
-            0,
-            "a stale-generation sidecar must never be loaded: {m:?}"
-        );
-        wait_for_index(&mut client, "rebuild after stale sidecar", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
-        });
-        let (status, body) = client
-            .request(
-                "POST",
-                "/v1/complete",
-                r#"{"schema": "uni", "query": "department~take"}"#,
-            )
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
-        server.shutdown();
-    }
-
-    // Run D: flip a byte in the (now freshly rewritten) sidecar; the
-    // checksum rejects it and the server rebuilds rather than erroring.
-    let mut bytes = std::fs::read(&sidecar).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&sidecar, &bytes).unwrap();
-    {
-        let (server, mut client) = server_with(Some(&dir), 0);
-        let m = index_metrics(&mut client);
-        assert_eq!(as_u64(&get(&m, "sidecar_loads")), 0, "{m:?}");
-        wait_for_index(&mut client, "rebuild after corrupt sidecar", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
-        });
-        let (status, _) = client.request("GET", "/v1/schemas/uni", "").unwrap();
-        assert_eq!(status, 200);
-        server.shutdown();
-    }
-
-    // DELETE removes the sidecar with the schema.
-    {
-        let (server, mut client) = server_with(Some(&dir), 0);
-        let (status, _) = client.request("DELETE", "/v1/schemas/uni", "").unwrap();
-        assert_eq!(status, 200);
-        assert!(!sidecar.exists(), "DELETE should remove the index sidecar");
-        server.shutdown();
-    }
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,6 @@
 //! End-to-end persistence tests: a server with a data directory survives
 //! restarts — acknowledged schema writes come back with their exact ids
-//! and generations, deletes stay deleted, and the warmup journal
-//! pre-warms the completion cache.
+//! and generations, and deletes stay deleted.
 
 use ipe_schema::fixtures;
 use ipe_service::{Client, FsyncPolicy, Server, ServiceConfig};
@@ -120,48 +119,6 @@ fn registry_survives_restart_with_exact_ids_and_generations() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The warmup journal written on shutdown pre-warms the completion cache:
-/// the first post-restart request for a hot query is already a cache hit.
-#[test]
-fn warmup_journal_prewarms_the_cache_across_restart() {
-    let dir = tmp_dir("warmup");
-    let uni = fixtures::university().to_json();
-    {
-        let (server, mut client) = durable_server(&dir);
-        client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
-        for _ in 0..3 {
-            let (status, _) = client
-                .request(
-                    "POST",
-                    "/v1/complete",
-                    r#"{"schema": "uni", "query": "ta~name"}"#,
-                )
-                .unwrap();
-            assert_eq!(status, 200);
-        }
-        server.shutdown();
-    }
-    {
-        let (server, mut client) = durable_server(&dir);
-        let (status, body) = client
-            .request(
-                "POST",
-                "/v1/complete",
-                r#"{"schema": "uni", "query": "ta~name"}"#,
-            )
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
-        let v = serde_json::parse_value_text(&body).unwrap();
-        assert_eq!(
-            get(&v, "cached"),
-            Value::Bool(true),
-            "first request after restart should be warmed: {body}"
-        );
-        server.shutdown();
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// The `/metrics` service section reports durability gauges.
 #[test]
 fn metrics_report_durability() {
@@ -204,7 +161,7 @@ fn durable_writes_survive_an_injected_panic() {
         let (status, body) = client.request("PUT", "/v1/schemas/before", &uni).unwrap();
         assert_eq!(status, 200, "{body}");
 
-        // Poison the store/warmup/builder locks mid-flight.
+        // Poison the store and builder locks mid-flight.
         let (status, body) = client.request("POST", "/v1/debug/panic", "").unwrap();
         assert_eq!(status, 500, "{body}");
 

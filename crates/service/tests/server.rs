@@ -1026,8 +1026,8 @@ fn backpressure_503_beyond_connection_cap() {
     server.shutdown();
 }
 
-/// A handler panic — injected while the store, warmup, and builder locks
-/// are held — answers that request `500` and leaves the server fully
+/// A handler panic — injected while the store and builder locks are
+/// held — answers that request `500` and leaves the server fully
 /// serviceable: the poisoned locks are recovered on next use instead of
 /// condemning every later request.
 #[test]

@@ -274,7 +274,7 @@ fn unknown_paths_do_not_drain_the_rate_quota() {
 }
 
 /// `DELETE /v1/tenants/:t` atomically purges everything the tenant owns —
-/// schemas, data instances, cache partition, index sidecars — reports the
+/// schemas, data instances, cache partition — reports the
 /// counts, and the purge survives a restart (the WAL carries the
 /// deletes). Other tenants' same-named schemas are untouched.
 #[test]
@@ -314,6 +314,7 @@ fn tenant_delete_purges_namespace_durably() {
         assert_eq!(as_u64(&get(&v, "purged_data")), 1, "{body}");
         assert!(as_u64(&get(&v, "purged_cache_entries")) >= 1, "{body}");
         assert!(as_u64(&get(&v, "purged_cache_bytes")) > 0, "{body}");
+        assert!(v.get("purged_sidecars").is_none(), "{body}");
 
         let (status, _) = c.request("GET", "/v1/t/doomed/schemas/s", "").unwrap();
         assert_eq!(status, 404, "deleted tenant must not serve");

@@ -1,5 +1,5 @@
 //! `ipe-store` — durable persistence for the disambiguation service's
-//! schema registry, plus a best-effort cache warmup journal.
+//! schema registry.
 //!
 //! The service (see `ipe-service`) holds its versioned registry and its
 //! completion cache in memory; this crate makes the registry survive
@@ -14,10 +14,11 @@
 //!   truncate a torn tail at the first bad checksum, and report exactly
 //!   what was recovered (a [`Recovery`]) so callers can restore registry
 //!   ids and generations monotonically — cache keys minted before a crash
-//!   can never alias entries minted after it;
-//! * a **warmup journal** ([`warmup`]): the top-K hot normalized cache
-//!   keys, sampled best-effort, replayed against the engine on startup to
-//!   pre-warm the completion cache.
+//!   can never alias entries minted after it.
+//!
+//! The WAL and the snapshot are the only files recovery reads: state
+//! derived from a schema (its search index, cached completions) is
+//! rebuilt after a restart, never persisted.
 //!
 //! Everything is `std`-only and instrumented through `ipe-obs`
 //! (`store.wal.*`, `store.recover.*`, `store.snapshot.*`, and the
@@ -29,20 +30,14 @@
 #![warn(missing_docs)]
 
 pub mod crc;
-pub mod sidecar;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
-pub mod warmup;
 
 pub use crc::crc32;
-pub use sidecar::{read_sidecar, remove_sidecar, sidecar_path, write_sidecar};
 pub use snapshot::{SchemaRecord, Snapshot};
-pub use store::{
-    Appended, FsyncPolicy, Recovery, Store, StoreConfig, SNAPSHOT_FILE, WAL_FILE, WARMUP_FILE,
-};
+pub use store::{FsyncPolicy, Recovery, Store, StoreConfig, SNAPSHOT_FILE, WAL_FILE};
 pub use wal::{WalOp, WalRecord, DEFAULT_TENANT};
-pub use warmup::{read_warmup, write_warmup, WarmupEntry};
 
 use std::fmt;
 use std::path::Path;

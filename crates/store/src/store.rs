@@ -18,8 +18,6 @@ use std::time::{Duration, Instant};
 pub const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside the data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Warmup journal file name inside the data directory.
-pub const WARMUP_FILE: &str = "warmup.tsv";
 
 /// When (relative to appends) the WAL is flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,15 +100,6 @@ pub struct Recovery {
     /// migrated to v2 during this open (records re-homed into the
     /// `default` tenant, snapshot and WAL rewritten with v2 magics).
     pub migrated: bool,
-}
-
-/// Outcome of one append.
-#[derive(Clone, Copy, Debug)]
-pub struct Appended {
-    /// The record's sequence number.
-    pub seq: u64,
-    /// Whether this append triggered a snapshot compaction.
-    pub snapshotted: bool,
 }
 
 /// The durable schema store. See the [crate docs](crate) for the file
@@ -323,8 +312,9 @@ impl Store {
         Ok(())
     }
 
-    /// Appends a schema put (register or hot-swap) for `tenant`. Durable
-    /// per the fsync policy once this returns.
+    /// Appends a schema put (register or hot-swap) for `tenant` and
+    /// returns the record's sequence number. Durable per the fsync policy
+    /// once this returns.
     pub fn append_put(
         &mut self,
         tenant: &str,
@@ -332,7 +322,7 @@ impl Store {
         id: u64,
         generation: u64,
         schema_json: &str,
-    ) -> Result<Appended, StoreError> {
+    ) -> Result<u64, StoreError> {
         self.append(WalOp::Put {
             tenant: tenant.to_owned(),
             name: name.to_owned(),
@@ -342,15 +332,16 @@ impl Store {
         })
     }
 
-    /// Appends a schema delete for `tenant`.
-    pub fn append_delete(&mut self, tenant: &str, name: &str) -> Result<Appended, StoreError> {
+    /// Appends a schema delete for `tenant` and returns its sequence
+    /// number.
+    pub fn append_delete(&mut self, tenant: &str, name: &str) -> Result<u64, StoreError> {
         self.append(WalOp::Delete {
             tenant: tenant.to_owned(),
             name: name.to_owned(),
         })
     }
 
-    fn append(&mut self, op: WalOp) -> Result<Appended, StoreError> {
+    fn append(&mut self, op: WalOp) -> Result<u64, StoreError> {
         let record = WalRecord {
             seq: self.last_seq + 1,
             op,
@@ -361,7 +352,7 @@ impl Store {
     /// Appends a record replicated from a leader. The record keeps the
     /// leader's seq, so leader and follower WALs stay position-identical;
     /// a gap means the stream skipped acknowledged records and is refused.
-    pub fn apply_remote(&mut self, record: &WalRecord) -> Result<Appended, StoreError> {
+    pub fn apply_remote(&mut self, record: &WalRecord) -> Result<u64, StoreError> {
         if record.seq != self.last_seq + 1 {
             return Err(StoreError::Corrupt(
                 "replication sequence gap: record does not extend the local WAL",
@@ -370,7 +361,7 @@ impl Store {
         self.append_record(record)
     }
 
-    fn append_record(&mut self, record: &WalRecord) -> Result<Appended, StoreError> {
+    fn append_record(&mut self, record: &WalRecord) -> Result<u64, StoreError> {
         let _t = ipe_obs::timer!("store.append");
         let frame = record.encode_frame();
         self.wal.write_all(&frame)?;
@@ -389,15 +380,10 @@ impl Store {
         apply(&mut self.live, &mut self.max_id, &record.op);
         self.last_seq = record.seq;
         self.appends_since_snapshot += 1;
-        let mut snapshotted = false;
         if self.snapshot_every > 0 && self.appends_since_snapshot >= self.snapshot_every {
             self.snapshot_now()?;
-            snapshotted = true;
         }
-        Ok(Appended {
-            seq: self.last_seq,
-            snapshotted,
-        })
+        Ok(self.last_seq)
     }
 
     /// Flushes buffered WAL bytes to stable storage (no-op when clean).
@@ -524,11 +510,6 @@ impl Store {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-
-    /// Path of the warmup journal inside this store's directory.
-    pub fn warmup_path(&self) -> PathBuf {
-        self.dir.join(WARMUP_FILE)
-    }
 }
 
 /// Applies one op to the live-state mirror.
@@ -630,11 +611,14 @@ mod tests {
         let dir = tmp_dir("compact");
         {
             let (mut store, _) = Store::open(&cfg(&dir, 3)).unwrap();
-            let a = store.append_put(DEFAULT_TENANT, "a", 1, 1, "{}").unwrap();
-            assert!(!a.snapshotted);
+            store.append_put(DEFAULT_TENANT, "a", 1, 1, "{}").unwrap();
             store.append_put(DEFAULT_TENANT, "b", 2, 1, "{}").unwrap();
-            let c = store.append_put(DEFAULT_TENANT, "c", 3, 1, "{}").unwrap();
-            assert!(c.snapshotted, "third append crosses snapshot_every=3");
+            assert!(!dir.join(SNAPSHOT_FILE).exists());
+            store.append_put(DEFAULT_TENANT, "c", 3, 1, "{}").unwrap();
+            assert!(
+                dir.join(SNAPSHOT_FILE).exists(),
+                "third append crosses snapshot_every=3"
+            );
         }
         let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         assert_eq!(wal_len, WAL_MAGIC.len() as u64, "WAL compacted to header");

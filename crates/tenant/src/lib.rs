@@ -21,8 +21,8 @@
 //! (`"people"`), every other tenant owns `"{tenant}/{name}"`
 //! (`"acme/people"`). Tenant names cannot contain `/`, schema names
 //! cannot either, so the encoding is unambiguous — and every pre-tenant
-//! WAL record, sidecar file, and client keeps working because the
-//! default tenant's names are byte-identical to the legacy ones.
+//! WAL record and client keeps working because the default tenant's
+//! names are byte-identical to the legacy ones.
 
 mod bucket;
 mod registry;

@@ -142,7 +142,8 @@ const USAGE: &str = "usage:
   ipe batch    [--schema FILE | --fixture NAME] [--e N] [--exclude CLASS]...
                [--threads N] [--deadline-ms N] FILE
 
-An EXPR containing `~` (or starting with a flag) implies `complete`.
+An EXPR containing `~` (or starting with a flag) implies `complete`. An
+unknown flag, or an argument a command does not take, is an error.
 --trace prints the structured search event log; --report FILE writes the
 full JSON run report (stats, counters, timings, trace). Both are inert in
 builds with the `obs-off` feature.
@@ -160,8 +161,10 @@ per reactor (503 beyond); --timeout-ms bounds each request from first
 byte to framed (408 on expiry). With --report FILE, the final /metrics report is written there
 on clean shutdown. With --data-dir DIR, registry changes are written
 through to a checksummed WAL (fsynced per --fsync, compacted into a
-snapshot every --snapshot-every records) and recovered on restart; a
-best-effort warmup journal pre-warms the completion cache.
+snapshot every --snapshot-every records) and recovered on restart.
+Nothing derived from a schema is persisted: after a restart each
+schema's index is rebuilt in the background and the completion cache
+starts cold.
 
 Multi-tenancy: PUT/GET/DELETE /v1/tenants/:tenant manages tenant
 namespaces (quotas, per-tenant defaults, cache budgets; persisted to
@@ -191,10 +194,9 @@ line per request to stderr. GET /metrics?format=prometheus serves the
 metrics in Prometheus text format.
 
 --index controls the schema closure index. `serve` defaults to `on`:
-every PUT kicks off a background build (requests run unindexed until it
-lands), and with --data-dir the built index is persisted as a sidecar so
-a restart skips the rebuild. `lazy` defers per-name goal tables to first
-use; `off` disables indexing. One-shot `complete` defaults to `off`;
+every PUT, and every schema recovered from --data-dir, kicks off a
+background build (requests run unindexed until it lands). `lazy` defers
+per-name goal tables to first use; `off` disables indexing. One-shot `complete` defaults to `off`;
 pass --index on to see index pruning in --trace/--report output.
 
 `query` disambiguates an incomplete expression at --e and evaluates the
@@ -259,7 +261,10 @@ struct Opts {
     positional: Vec<String>,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Parses `args` for a command taking at most `positionals` positional
+/// arguments. An unknown flag or a surplus positional is an error, so a
+/// typo never silently runs with default settings.
+fn parse_opts(args: &[String], positionals: usize) -> Result<Opts, String> {
     let mut schema_file: Option<String> = None;
     let mut fixture = "university".to_owned();
     let mut e = 1usize;
@@ -409,8 +414,14 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--access-log" => access_log = true,
             "--follow" => follow = Some(grab("--follow")?),
+            flag if flag.starts_with('-') && flag != "-" => {
+                return Err(format!("unknown flag `{flag}` (see `ipe --help`)"));
+            }
             other => positional.push(other.to_owned()),
         }
+    }
+    if let Some(extra) = positional.get(positionals) {
+        return Err(format!("unexpected argument `{extra}`"));
     }
     let fixture_name = schema_file.is_none().then(|| fixture.clone());
     let schema = match schema_file {
@@ -485,7 +496,7 @@ fn engine_for(opts: &Opts) -> Result<Completer<'_>, String> {
 const TRACE_CAPACITY: usize = 65_536;
 
 fn cmd_complete(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 1)?;
     let expr = opts
         .positional
         .first()
@@ -560,7 +571,7 @@ fn cmd_complete(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 1)?;
     let expr = opts
         .positional
         .first()
@@ -575,7 +586,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 1)?;
     let expr = opts
         .positional
         .first()
@@ -595,7 +606,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 1)?;
     let expr = opts
         .positional
         .first()
@@ -674,7 +685,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 0)?;
     let gen = generate_schema(&GenConfig {
         classes: opts.classes,
         seed: opts.seed,
@@ -685,7 +696,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 0)?;
     let rendered = dot::to_dot(
         &opts.schema,
         &dot::DotOptions {
@@ -698,7 +709,7 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 0)?;
     if opts.trace {
         eprintln!("note: --trace applies to per-query commands; serve exposes /metrics instead");
     }
@@ -775,7 +786,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 1)?;
     let file = opts
         .positional
         .first()
@@ -854,7 +865,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, 0)?;
     let r = ipe::schema::analysis::analyze(&opts.schema);
     println!("classes:          {}", r.classes);
     println!("user classes:     {}", r.user_classes);

@@ -1,6 +1,8 @@
 //! CLI argument-plumbing regression tests: global flags (`--trace`,
 //! `--report`) must compose with explicit subcommands — in particular the
-//! `serve` subcommand — instead of forcing an implicit `complete`.
+//! `serve` subcommand — instead of forcing an implicit `complete`, and a
+//! misspelt flag or a stray argument is an error rather than a silent run
+//! with default settings.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -117,4 +119,52 @@ fn report_flag_composes_with_serve() {
     let report_text = std::fs::read_to_string(&report).expect("report written on shutdown");
     assert!(report_text.contains("\"service\""), "{report_text}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `ipe` with `args` and asserts it fails with `error: …` naming
+/// `needle`.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = ipe().args(args).output().expect("run ipe");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} should fail: {stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains(needle),
+        "{args:?}: expected an error naming `{needle}`, got: {stderr}"
+    );
+}
+
+/// A misspelt flag fails instead of running with defaults: `--sed` for
+/// `--seed`, `--data-dri` for `--data-dir` (which would otherwise serve
+/// without persistence), and flags no command knows. The `serve` cases
+/// use an unbindable address, so a build that ignored the mistake fails
+/// fast on the bind instead of serving forever.
+#[test]
+fn unknown_flags_are_rejected() {
+    assert_rejected(&["gen", "--sed", "5"], "--sed");
+    assert_rejected(&["stats", "--bogus", "1"], "--bogus");
+    assert_rejected(&["dot", "--inverse"], "--inverse");
+    assert_rejected(&["complete", "--ee", "2", "ta~name"], "--ee");
+    assert_rejected(
+        &[
+            "serve",
+            "--addr",
+            "999.999.999.999:1",
+            "--data-dri",
+            "/nonexistent",
+        ],
+        "--data-dri",
+    );
+}
+
+/// Commands that take no positional argument refuse one, and commands
+/// that take one refuse a second.
+#[test]
+fn stray_positionals_are_rejected() {
+    assert_rejected(&["gen", "5"], "`5`");
+    assert_rejected(
+        &["serve", "--addr", "999.999.999.999:1", "extra"],
+        "`extra`",
+    );
+    assert_rejected(&["stats", "university"], "`university`");
+    assert_rejected(&["complete", "ta~name", "student~name"], "`student~name`");
 }
